@@ -17,16 +17,14 @@ _NORM_EPS = 1e-12
 class FitConfig:
     lambda_orth: float = 1e-4
     lambda_sp: float = 1e-4
-    lambda_phy: float = 1.0
     chamfer_samples: int = 4096
     outer_iters: int = 10
-    inner_rounds: int = 50
     reg_steps: int = 25
     reg_lr: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lambda_orth, self.lambda_sp, self.lambda_phy) < 0:
+        if min(self.lambda_orth, self.lambda_sp) < 0:
             raise ValueError("loss weights must be non-negative")
 
 
@@ -56,14 +54,6 @@ class BasisSet:
     def cage_offsets(self, z: np.ndarray) -> np.ndarray:
         """Linear combination of bases: (N_t, 3) cage offsets for a K-vector."""
         return np.einsum("kna,k->na", self.bases, np.asarray(z, dtype=np.float64))
-
-    def orthogonality(self) -> np.ndarray:
-        """Pairwise |normalized dot products|, diagnostic only."""
-        flat = self.bases.reshape(self.k, -1)
-        norms = np.linalg.norm(flat, axis=1)
-        g = flat @ flat.T / (np.outer(norms, norms) + _NORM_EPS)
-        np.fill_diagonal(g, 0.0)
-        return np.abs(g)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +107,6 @@ class DeformOperator:
 
 # ---------------------------------------------------------------------------
 # Coefficient fitting
-
-
-def lsq_coefficient(bases: BasisSet, cage_offsets: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares of sum_k z_k b_k = cage_offsets."""
-    a = bases.bases.reshape(bases.k, -1).T  # (3N_t, K)
-    rhs = np.asarray(cage_offsets, dtype=np.float64).ravel()
-    z, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return z
 
 
 @dataclass
@@ -485,10 +467,9 @@ def fit_gmm(coeffs: np.ndarray, n_components: int = 3, seed: int = 0,
 
 
 def sample_gmm(gmm: GaussianMixture, seed=0, n: int = 1) -> np.ndarray:
-    """Draw coefficient vectors; deterministic per seed. Shape (n, K) or (K,)."""
+    """Draw n coefficient vectors as an (n, K) array; deterministic per seed."""
     rng = np.random.default_rng(seed)
     comp = rng.choice(gmm.n_components, size=n, p=gmm.weights)
-    out = gmm.means[comp] + rng.standard_normal((n, gmm.means.shape[1])) * np.sqrt(
+    return gmm.means[comp] + rng.standard_normal((n, gmm.means.shape[1])) * np.sqrt(
         gmm.variances[comp]
     )
-    return out[0] if n == 1 else out

@@ -175,16 +175,6 @@ def build_cage(convex: TriMesh, template: TriMesh | None = None,
     return Cage(mesh=cage_mesh, phi=phi)
 
 
-def apply_cage_deform(cage: Cage, cage_offsets: np.ndarray) -> np.ndarray:
-    """Convex vertex offsets induced by cage vertex offsets (a matrix product)."""
-    offsets = np.asarray(cage_offsets, dtype=np.float64)
-    if offsets.shape != (cage.phi.shape[1], 3):
-        raise ValueError(
-            f"cage offsets must be {(cage.phi.shape[1], 3)}, got {offsets.shape}"
-        )
-    return cage.phi @ offsets
-
-
 # ---------------------------------------------------------------------------
 # Smooth layer: blend interpolation weights across a part's cages
 

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,34 +34,21 @@ def _build_config(args) -> PipelineConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.sim.seed = args.seed
+    if getattr(args, "lambda_phy", None) is not None:
+        cfg.lambda_phy = args.lambda_phy
     cfg.jobs = args.jobs
     return cfg
 
 
-def _write_provenance(run_dir, args, cfg: PipelineConfig, extra=None) -> None:
+def _write_provenance(run_dir, args, cfg: PipelineConfig) -> None:
+    """Record the command's arguments and the full resolved config."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     rec = {
-        "command": args.command,
-        "argv": sys.argv[1:],
-        "seed": cfg.seed,
-        "profile": args.profile,
-        "jobs": cfg.jobs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": {
-            "k": cfg.k, "shots": cfg.shots,
-            "n_samples_per_reference": cfg.n_samples_per_reference,
-            "sync_iters": cfg.sync_iters, "lambda_phy": cfg.lambda_phy,
-            "epsilon": cfg.epsilon, "eval_points": cfg.eval_points,
-            "sim": {"n_steps": cfg.sim.n_steps, "n_det": cfg.sim.n_det},
-            "proj_train": {"iters": cfg.proj_train.iters,
-                           "eps_proj": cfg.proj_train.eps_proj},
-            "proj_test": {"iters": cfg.proj_test.iters,
-                          "eps_proj": cfg.proj_test.eps_proj},
-        },
+        "args": vars(args),
+        "config": asdict(cfg),
     }
-    if extra:
-        rec.update(extra)
     (run_dir / "run.json").write_text(json.dumps(rec, indent=2))
 
 
@@ -113,29 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _build_config(args)
+    out = Path(args.out)
+    _write_provenance(out, args, cfg)
 
     if args.command == "pretrain":
-        out = Path(args.out)
-        _write_provenance(out, args, cfg, {"dataset": args.dataset})
         model = pipeline.cmd_pretrain(args.dataset, out / "model.json", cfg,
                                       cache_dir=out / "cages")
         print(f"pretrained {len(model.convexes)} convex bases -> {out/'model.json'}")
 
     elif args.command == "finetune":
-        if args.lambda_phy is not None:
-            cfg.lambda_phy = args.lambda_phy
-        out = Path(args.out)
-        _write_provenance(out, args, cfg, {"dataset": args.dataset,
-                                           "pretrained": args.pretrained})
         model = pipeline.cmd_finetune(args.dataset, out / "model.json", cfg,
                                       pretrained_path=args.pretrained,
                                       cache_dir=out / "cages")
         print(f"finetuned model with sync + GMM -> {out/'model.json'}")
 
     elif args.command == "sample":
-        out = Path(args.out)
-        _write_provenance(out, args, cfg, {"model": args.model,
-                                           "reference": args.reference})
         report = pipeline.cmd_sample(args.model, args.reference, out, cfg,
                                      n=args.n, seed=args.seed,
                                      z_zero=args.z_zero)
@@ -144,24 +124,16 @@ def main(argv=None) -> int:
               f"{report['mean_apd_after']:.3e}")
 
     elif args.command == "simulate":
-        out = Path(args.out)
         report = pipeline.cmd_simulate(args.manifest, cfg)
-        _write_provenance(out, args, cfg, {"manifest": args.manifest})
         (out / "collision.json").write_text(json.dumps(report, indent=2))
         print(f"L_phy {report['l_phy']:.6e}  L_proj {report['l_proj']:.6e}")
 
     elif args.command == "eval":
-        out = Path(args.out)
-        _write_provenance(out, args, cfg, {"generated": args.generated,
-                                           "reference": args.reference})
         result = pipeline.cmd_eval(args.generated, args.reference, cfg)
         (out / "metrics.json").write_text(json.dumps(result["metrics"], indent=2))
         print(result["table"])
 
     elif args.command == "correct":
-        out = Path(args.out)
-        _write_provenance(out, args, cfg, {"model": args.model,
-                                           "reference": args.reference})
         z = None
         if args.z_file:
             z = np.array(json.loads(Path(args.z_file).read_text()))

@@ -48,19 +48,12 @@ def one_nna(gen: list[np.ndarray], ref: list[np.ndarray],
     """
     if not gen or not ref:
         raise ValueError("one_nna needs non-empty sets")
-    pool = list(gen) + list(ref)
-    n = len(pool)
+    if d is None:
+        d = pairwise_chamfer(gen, ref)
+    # symmetric Chamfer: the ref-gen block is the gen-ref block transposed
+    full = np.block([[pairwise_chamfer(gen, gen), d],
+                     [d.T, pairwise_chamfer(ref, ref)]])
     labels = np.array([0] * len(gen) + [1] * len(ref))
-    full = np.zeros((n, n))
-    if d is not None:
-        full[: len(gen), len(gen):] = d
-        full[len(gen):, : len(gen)] = d.T
-        gg = pairwise_chamfer(gen, gen)
-        rr = pairwise_chamfer(ref, ref)
-        full[: len(gen), : len(gen)] = gg
-        full[len(gen):, len(gen):] = rr
-    else:
-        full = pairwise_chamfer(pool, pool)
     np.fill_diagonal(full, np.inf)
     nearest = full.argmin(axis=1)  # argmin takes the lowest index on ties
     correct = labels[nearest] == labels
@@ -104,14 +97,6 @@ def jsd(gen: list[np.ndarray], ref: list[np.ndarray], resolution: int = 28) -> f
         return float((a[mask] * np.log2(a[mask] / b[mask])).sum())
 
     return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
-
-
-def apd(reports) -> float:
-    """Average penetration depth: mean of per-sample collision l_phy values."""
-    vals = [r.l_phy if hasattr(r, "l_phy") else float(r) for r in reports]
-    if not vals:
-        raise ValueError("apd needs at least one report")
-    return float(np.mean(vals))
 
 
 @dataclass

@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import (
-    FIXED,
     PRISMATIC,
-    REVOLUTE,
     ArticulatedObject,
     Joint,
+    Part,
     TriMesh,
+    articulate,
     merge_meshes,
-    rotation_about_axis,
 )
 
 _BARY_TOL = 1e-9
@@ -73,25 +72,6 @@ def face_normals(mesh: TriMesh) -> np.ndarray:
     return cross / norms[:, None]
 
 
-def vertex_face_distance(points: np.ndarray, ref: TriMesh,
-                         normals: np.ndarray | None = None) -> np.ndarray:
-    """Signed distance from each point to every reference face plane."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if normals is None:
-        normals = face_normals(ref)
-    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
-    return points @ normals.T - plane_d
-
-
-def vertices_in_faces(points: np.ndarray, ref: TriMesh) -> np.ndarray:
-    """True where the plane projection of a point falls inside the triangle."""
-    points = np.asarray(points, dtype=np.float64)
-    single = points.ndim == 2
-    pts = points[None] if single else points  # (t, nv, 3)
-    out = _in_faces_batch(pts, ref)
-    return out[0] if single else out
-
-
 def _face_frames(ref: TriMesh):
     tri = ref.vertices[ref.faces]
     a = tri[:, 0]
@@ -103,15 +83,6 @@ def _face_frames(ref: TriMesh):
     den = d11 * d22 - d12 * d12
     den = np.where(np.abs(den) < 1e-300, 1.0, den)
     return a, e1, e2, d11, d12, d22, den
-
-
-def _in_faces_batch(pts: np.ndarray, ref: TriMesh) -> np.ndarray:
-    a, e1, e2, d11, d12, d22, den = _face_frames(ref)
-    w1 = np.einsum("tva,fa->tvf", pts, e1) - np.einsum("fa,fa->f", a, e1)
-    w2 = np.einsum("tva,fa->tvf", pts, e2) - np.einsum("fa,fa->f", a, e2)
-    u = (d22 * w1 - d12 * w2) / den
-    v = (d11 * w2 - d12 * w1) / den
-    return (u >= -_BARY_TOL) & (v >= -_BARY_TOL) & (u + v <= 1.0 + _BARY_TOL)
 
 
 def _in_faces_sparse(pts: np.ndarray, ref: TriMesh, fidx: np.ndarray) -> np.ndarray:
@@ -146,10 +117,11 @@ def _step_transforms(joint: Joint, n_steps: int):
 class SimResult:
     pene: float
     proj: float
-    # rest-frame per-vertex gradients computed with the crossing masks frozen
+    # rest-frame per-vertex gradients computed with the crossings frozen
     proj_grad_v: np.ndarray | None = None
     phy_grad_v: np.ndarray | None = None
-    mask: np.ndarray | None = None          # (N_s, nv, nf) crossing mask
+    # (t, v, f) index arrays of the counted crossings; step t runs 0..N_s-1
+    crossings: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     # per-face-group losses when the reference stacks equal-size groups
     group_pene: np.ndarray | None = None
     group_proj: np.ndarray | None = None
@@ -169,15 +141,17 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     groups and reports each group's own loss (as if simulated alone), which
     lets one call stand in for several equal-topology references.
     """
+    no_idx = np.zeros(0, dtype=np.intp)
     zeros = np.zeros((mov.n_vertices, 3)) if want_grad else None
     gzeros = (np.zeros(n_face_groups) if n_face_groups else None)
+    zero = SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
+                     crossings=(no_idx, no_idx, no_idx),
+                     group_pene=gzeros, group_proj=gzeros)
     if joint.is_fixed:
-        return SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
-                         group_pene=gzeros, group_proj=gzeros)
+        return zero
     if ref.n_faces == 0 or ref.n_vertices == 0:
         warnings.warn("empty reference mesh: penetration losses are 0")
-        return SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
-                         group_pene=gzeros, group_proj=gzeros)
+        return zero
     if n_face_groups and ref.n_faces % n_face_groups:
         raise ValueError("reference faces do not split into equal groups")
 
@@ -198,16 +172,8 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     if ti.size:
         inside = _in_faces_sparse(v_all[ti + 1, vi], ref, fi)
         ti, vi, fi = ti[inside], vi[inside], fi[inside]
-
-    proj_grad_v = phy_grad_v = mask_out = None
-    if want_grad:
-        proj_grad_v = np.zeros((nv, 3))
-        phy_grad_v = np.zeros((nv, 3))
-        mask_out = np.zeros((n_steps, nv, nf), dtype=bool)
     if ti.size == 0:
-        return SimResult(0.0, 0.0, proj_grad_v=proj_grad_v,
-                         phy_grad_v=phy_grad_v, mask=mask_out,
-                         group_pene=gzeros, group_proj=gzeros)
+        return zero
 
     d = d_all[ti + 1, vi, fi]
     s = s_all[ti + 1, vi, fi]
@@ -227,8 +193,10 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         group_pene = np.bincount(gi, pene_terms, n_face_groups) * gscale
         group_proj = np.bincount(gi, proj_terms, n_face_groups) * gscale
 
+    proj_grad_v = phy_grad_v = None
     if want_grad:
-        mask_out[ti, vi, fi] = True
+        proj_grad_v = np.zeros((nv, 3))
+        phy_grad_v = np.zeros((nv, 3))
         # displacement term: d dV_t / d V_rest = R_t - R_{t-1}
         d_rot = rots[1:] - rots[:-1]
         term1 = np.einsum("nab,na->nb", d_rot[ti], d[:, None] * n_rows)
@@ -240,28 +208,8 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
                              (live * s)[:, None] * n_rows)
         np.add.at(phy_grad_v, vi, scale * phy_rows)
     return SimResult(pene, proj, proj_grad_v=proj_grad_v, phy_grad_v=phy_grad_v,
-                     mask=mask_out, group_pene=group_pene, group_proj=group_proj)
-
-
-def frozen_proj_loss(v_rest: np.ndarray, ref: TriMesh, joint: Joint,
-                     n_steps: int, mask: np.ndarray) -> float:
-    """Projection loss evaluated with a fixed crossing mask.
-
-    Displacements and depths are recomputed from ``v_rest``; only the mask is
-    held at the reference run's value, which makes the loss differentiable.
-    """
-    v_rest = np.asarray(v_rest, dtype=np.float64)
-    normals = face_normals(ref)
-    rots, trans = _step_transforms(joint, n_steps)
-    v_all = np.einsum("tab,vb->tva", rots[1:], v_rest) + trans[1:, None, :]
-    v_all = np.concatenate([v_rest[None], v_all], axis=0)
-    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
-    d_all = np.einsum("tva,fa->tvf", v_all, normals) - plane_d
-    dv = v_all[1:] - v_all[:-1]
-    w = mask * d_all[1:]
-    per_vertex = np.einsum("tvf,fa->tva", w, normals)
-    nv, nf = v_rest.shape[0], ref.n_faces
-    return float(np.einsum("tva,tva->", dv, per_vertex) / (n_steps * nv * nf))
+                     crossings=(ti, vi, fi), group_pene=group_pene,
+                     group_proj=group_proj)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +245,12 @@ class DeformableObject:
     k: int
 
     def to_object(self, z: np.ndarray) -> ArticulatedObject:
-        from .mesh import ArticulationState, Part
-
         parts = [
             Part(name=p.name, convexes=tuple(p.convex_meshes_at(z)),
                  joint=p.joint, ref_states=p.ref_states)
             for p in self.parts
         ]
         return ArticulatedObject(parts=tuple(parts))
-
-
-def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,
-               ref_states=()) -> DeformablePart:
-    """A part that ignores z (zero Jacobian); useful for fixtures."""
-    return DeformablePart(
-        name=name, v0=np.array(mesh.vertices), jac=np.zeros((mesh.n_vertices, 3, k)),
-        faces=np.array(mesh.faces), joint=joint, ref_states=tuple(ref_states),
-        convex_slices=[(0, mesh.n_vertices)], convex_faces=[np.array(mesh.faces)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +274,6 @@ def _sample_ref_states(parts, mover_idx: int, rng) -> dict[int, float]:
 
 
 def _articulated_ref_mesh(parts_meshes, parts, mover_idx, states) -> TriMesh:
-    from .mesh import articulate
-
     pieces = []
     for j, (mesh, part) in enumerate(zip(parts_meshes, parts)):
         if j == mover_idx:
@@ -349,15 +283,20 @@ def _articulated_ref_mesh(parts_meshes, parts, mover_idx, states) -> TriMesh:
 
 
 def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
-    """Shared Alg. 4 loop over (part, detection process) pairs."""
-    breakdown = []
-    penes, projs = [], []
-    grads = [SimResult(0.0, 0.0,
-                       proj_grad_v=np.zeros((m.n_vertices, 3)),
-                       phy_grad_v=np.zeros((m.n_vertices, 3)))
-             for m in part_meshes] if want_grad else None
+    """Shared Alg. 4 loop over (part, detection process) pairs.
+
+    Returns the report and, with ``want_grad``, the per-part rest-frame
+    vertex gradients of the projection and penetration losses.
+    """
+    n = len(parts) * cfg.n_det
+    breakdown, penes, projs = [], [], []
+    proj_grads, phy_grads = [], []
     for i, (part, mesh) in enumerate(zip(parts, part_meshes)):
-        if len(parts) > 1:
+        if len(parts) == 1 or part.joint.is_fixed:
+            # nothing to hit, or a mover that does not move: zero by definition
+            det_pene = det_proj = np.zeros(cfg.n_det)
+            g_proj = g_phy = np.zeros((mesh.n_vertices, 3))
+        else:
             # every detection process shares the mover trajectory and has an
             # equal-topology reference, so one stacked simulation covers all
             refs = []
@@ -369,11 +308,7 @@ def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
                                     cfg.n_steps, want_grad=want_grad,
                                     n_face_groups=cfg.n_det)
             det_pene, det_proj = res.group_pene, res.group_proj
-        else:
-            res = SimResult(0.0, 0.0,
-                            proj_grad_v=np.zeros((mesh.n_vertices, 3)),
-                            phy_grad_v=np.zeros((mesh.n_vertices, 3)))
-            det_pene = det_proj = np.zeros(cfg.n_det)
+            g_proj, g_phy = res.proj_grad_v, res.phy_grad_v
         penes.extend(det_pene)
         projs.extend(det_proj)
         for det in range(cfg.n_det):
@@ -381,52 +316,42 @@ def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
                               float(det_proj[det])))
         if want_grad:
             # the stacked gradient already averages over detections
-            grads[i].proj_grad_v += res.proj_grad_v * cfg.n_det
-            grads[i].phy_grad_v += res.phy_grad_v * cfg.n_det
-    n = len(penes)
+            proj_grads.append(g_proj * cfg.n_det / n)
+            phy_grads.append(g_phy * cfg.n_det / n)
     report = CollisionReport(float(np.mean(penes)), float(np.mean(projs)), breakdown)
-    if want_grad:
-        for g in grads:
-            g.proj_grad_v /= n
-            g.phy_grad_v /= n
-    return report, grads
+    return report, proj_grads, phy_grads
 
 
 def physics_losses(obj: ArticulatedObject, cfg: SimConfig) -> CollisionReport:
     """Average penetration and projection losses over all single simulations."""
     part_meshes = [p.merged() for p in obj.parts]
-    report, _ = _run_losses(obj.parts, part_meshes, cfg)
-    return report
-
-
-def physics_losses_z(dobj: DeformableObject, z: np.ndarray,
-                     cfg: SimConfig) -> CollisionReport:
-    part_meshes = [p.mesh_at(z) for p in dobj.parts]
-    report, _ = _run_losses(dobj.parts, part_meshes, cfg)
+    report, _, _ = _run_losses(obj.parts, part_meshes, cfg)
     return report
 
 
 def grad_proj_wrt_z(dobj: DeformableObject, z: np.ndarray,
-                    cfg: SimConfig) -> tuple[float, np.ndarray]:
-    """Projection loss and its gradient with masks/depths/normals frozen.
+                    cfg: SimConfig) -> tuple[CollisionReport, np.ndarray]:
+    """Losses at z and the projection loss's gradient with crossings frozen.
 
-    The gradient flows only through the per-step displacement of the moving
-    part, which is affine in z.
+    The gradient flows through the per-step displacement and depth of the
+    moving part, both affine in z.
     """
     part_meshes = [p.mesh_at(z) for p in dobj.parts]
-    report, grads = _run_losses(dobj.parts, part_meshes, cfg, want_grad=True)
+    report, proj_grads, _ = _run_losses(dobj.parts, part_meshes, cfg,
+                                        want_grad=True)
     grad = np.zeros(dobj.k)
-    for part, g in zip(dobj.parts, grads):
-        grad += np.einsum("va,vak->k", g.proj_grad_v, part.jac)
-    return report.l_proj, grad
+    for part, g in zip(dobj.parts, proj_grads):
+        grad += np.einsum("va,vak->k", g, part.jac)
+    return report, grad
 
 
 def grad_phy_wrt_vertices(dobj: DeformableObject, z: np.ndarray,
                           cfg: SimConfig) -> tuple[float, list[np.ndarray]]:
-    """Penetration loss and frozen-mask rest-frame vertex gradients per part."""
+    """Penetration loss and frozen-crossing rest-frame vertex gradients per part."""
     part_meshes = [p.mesh_at(z) for p in dobj.parts]
-    report, grads = _run_losses(dobj.parts, part_meshes, cfg, want_grad=True)
-    return report.l_phy, [g.phy_grad_v for g in grads]
+    report, _, phy_grads = _run_losses(dobj.parts, part_meshes, cfg,
+                                       want_grad=True)
+    return report.l_phy, phy_grads
 
 
 def correct_shape(dobj: DeformableObject, z: np.ndarray, proj_cfg: ProjConfig,
@@ -434,19 +359,13 @@ def correct_shape(dobj: DeformableObject, z: np.ndarray, proj_cfg: ProjConfig,
     """Descend the projection loss in z; returns (z', report before, report after)."""
     z = np.array(z, dtype=np.float64)
     before = None
-    for it in range(proj_cfg.iters):
-        part_meshes = [p.mesh_at(z) for p in dobj.parts]
-        report, grads = _run_losses(dobj.parts, part_meshes, sim_cfg,
-                                    want_grad=True)
-        if it == 0:
-            before = report          # gradient pass already evaluates at z
-        grad = np.zeros(dobj.k)
-        for part, g in zip(dobj.parts, grads):
-            grad += np.einsum("va,vak->k", g.proj_grad_v, part.jac)
+    for _ in range(proj_cfg.iters):
+        report, grad = grad_proj_wrt_z(dobj, z, sim_cfg)
+        if before is None:
+            before = report          # the gradient pass already evaluates at z
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite projection gradient")
         z = z - proj_cfg.eps_proj * grad
-    if before is None:
-        before = physics_losses_z(dobj, z, sim_cfg)
-    after = physics_losses_z(dobj, z, sim_cfg) if proj_cfg.iters else before
-    return z, before, after
+    after, _, _ = _run_losses(dobj.parts, [p.mesh_at(z) for p in dobj.parts],
+                              sim_cfg)
+    return z, after if before is None else before, after

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ class PipelineError(ValueError):
 @dataclass
 class PipelineConfig:
     k: int = 16
-    shots: int = 5
     n_samples_per_reference: int = 40
     sync_iters: int = 100
     gmm_components: int = 3
@@ -65,26 +64,24 @@ def desk_profile(cfg: PipelineConfig | None = None) -> PipelineConfig:
     return cfg
 
 
-def paper_profile(cfg: PipelineConfig | None = None) -> PipelineConfig:
-    return cfg or PipelineConfig()
+def apply_overrides(cfg, rec: dict, where: str = ""):
+    """Return ``cfg`` with the overrides from a config file applied.
 
-
-def apply_overrides(cfg: PipelineConfig, rec: dict) -> PipelineConfig:
-    """Apply a flat/nested dict of overrides loaded from a config file."""
+    Nested dicts override nested config blocks field by field; those blocks
+    are rebuilt with ``replace`` so their own validation runs again.
+    """
+    names = {f.name for f in fields(cfg)}
+    changes = {}
     for key, val in rec.items():
-        if key == "fit":
-            cfg.fit = replace(cfg.fit, **val)
-        elif key == "sim":
-            cfg.sim = replace(cfg.sim, **val)
-        elif key == "proj_train":
-            cfg.proj_train = replace(cfg.proj_train, **val)
-        elif key == "proj_test":
-            cfg.proj_test = replace(cfg.proj_test, **val)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, val)
-        else:
-            raise PipelineError(f"unknown config key {key!r}")
-    return cfg
+        if key not in names:
+            raise PipelineError(f"unknown config key {where + key!r}")
+        cur = getattr(cfg, key)
+        if is_dataclass(cur):
+            if not isinstance(val, dict):
+                raise PipelineError(f"config key {where + key!r} needs a table")
+            val = apply_overrides(cur, val, f"{where}{key}.")
+        changes[key] = val
+    return replace(cfg, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Dense reference implementations that the tests compare the package against.
+
+None of these is called by ``artigen`` itself: the package computes the same
+quantities sparsely or inline, and the tests check it against these.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from artigen.basis import BasisSet
+from artigen.cage import Cage
+from artigen.mesh import Joint, TriMesh
+from artigen.physics import (
+    _BARY_TOL,
+    DeformablePart,
+    _face_frames,
+    _step_transforms,
+    face_normals,
+)
+
+_NORM_EPS = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Physics
+
+
+def vertex_face_distance(points: np.ndarray, ref: TriMesh,
+                         normals: np.ndarray | None = None) -> np.ndarray:
+    """Signed distance from each point to every reference face plane."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if normals is None:
+        normals = face_normals(ref)
+    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
+    return points @ normals.T - plane_d
+
+
+def vertices_in_faces(points: np.ndarray, ref: TriMesh) -> np.ndarray:
+    """True where the plane projection of a point falls inside the triangle."""
+    points = np.asarray(points, dtype=np.float64)
+    single = points.ndim == 2
+    pts = points[None] if single else points  # (t, nv, 3)
+    out = _in_faces_batch(pts, ref)
+    return out[0] if single else out
+
+
+def _in_faces_batch(pts: np.ndarray, ref: TriMesh) -> np.ndarray:
+    a, e1, e2, d11, d12, d22, den = _face_frames(ref)
+    w1 = np.einsum("tva,fa->tvf", pts, e1) - np.einsum("fa,fa->f", a, e1)
+    w2 = np.einsum("tva,fa->tvf", pts, e2) - np.einsum("fa,fa->f", a, e2)
+    u = (d22 * w1 - d12 * w2) / den
+    v = (d11 * w2 - d12 * w1) / den
+    return (u >= -_BARY_TOL) & (v >= -_BARY_TOL) & (u + v <= 1.0 + _BARY_TOL)
+
+
+def frozen_proj_loss(v_rest: np.ndarray, ref: TriMesh, joint: Joint,
+                     n_steps: int, crossings) -> float:
+    """Projection loss evaluated with fixed crossing triples.
+
+    ``crossings`` is the ``(t, v, f)`` triple of a reference run. Displacements
+    and depths are recomputed from ``v_rest``; only the crossings are held at
+    the reference run's value, which makes the loss differentiable.
+    """
+    v_rest = np.asarray(v_rest, dtype=np.float64)
+    normals = face_normals(ref)
+    rots, trans = _step_transforms(joint, n_steps)
+    v_all = np.einsum("tab,vb->tva", rots[1:], v_rest) + trans[1:, None, :]
+    v_all = np.concatenate([v_rest[None], v_all], axis=0)
+    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
+    d_all = np.einsum("tva,fa->tvf", v_all, normals) - plane_d
+    nv, nf = v_rest.shape[0], ref.n_faces
+    mask = np.zeros((n_steps, nv, nf), dtype=bool)
+    mask[crossings] = True
+    dv = v_all[1:] - v_all[:-1]
+    w = mask * d_all[1:]
+    per_vertex = np.einsum("tvf,fa->tva", w, normals)
+    return float(np.einsum("tva,tva->", dv, per_vertex) / (n_steps * nv * nf))
+
+
+def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,
+               ref_states=()) -> DeformablePart:
+    """A part that ignores z (zero Jacobian)."""
+    return DeformablePart(
+        name=name, v0=np.array(mesh.vertices), jac=np.zeros((mesh.n_vertices, 3, k)),
+        faces=np.array(mesh.faces), joint=joint, ref_states=tuple(ref_states),
+        convex_slices=[(0, mesh.n_vertices)], convex_faces=[np.array(mesh.faces)],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cages and bases
+
+
+def apply_cage_deform(cage: Cage, cage_offsets: np.ndarray) -> np.ndarray:
+    """Convex vertex offsets induced by cage vertex offsets (a matrix product)."""
+    offsets = np.asarray(cage_offsets, dtype=np.float64)
+    if offsets.shape != (cage.phi.shape[1], 3):
+        raise ValueError(
+            f"cage offsets must be {(cage.phi.shape[1], 3)}, got {offsets.shape}"
+        )
+    return cage.phi @ offsets
+
+
+def lsq_coefficient(bases: BasisSet, cage_offsets: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares of sum_k z_k b_k = cage_offsets."""
+    a = bases.bases.reshape(bases.k, -1).T  # (3N_t, K)
+    rhs = np.asarray(cage_offsets, dtype=np.float64).ravel()
+    z, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    return z
+
+
+def orthogonality(bases: BasisSet) -> np.ndarray:
+    """Pairwise |normalized dot products| of a basis set."""
+    flat = bases.bases.reshape(bases.k, -1)
+    norms = np.linalg.norm(flat, axis=1)
+    g = flat @ flat.T / (np.outer(norms, norms) + _NORM_EPS)
+    np.fill_diagonal(g, 0.0)
+    return np.abs(g)
+
+
+# ---------------------------------------------------------------------------
+# Metrics
+
+
+def apd(reports) -> float:
+    """Average penetration depth: mean of per-sample collision l_phy values."""
+    vals = [r.l_phy if hasattr(r, "l_phy") else float(r) for r in reports]
+    if not vals:
+        raise ValueError("apd needs at least one report")
+    return float(np.mean(vals))

