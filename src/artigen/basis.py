@@ -21,7 +21,6 @@ class FitConfig:
     outer_iters: int = 10
     reg_steps: int = 25
     reg_lr: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.lambda_orth, self.lambda_sp) < 0:
@@ -46,10 +45,6 @@ class BasisSet:
     @property
     def k(self) -> int:
         return self.bases.shape[0]
-
-    @property
-    def n_cage(self) -> int:
-        return self.bases.shape[1]
 
     def cage_offsets(self, z: np.ndarray) -> np.ndarray:
         """Linear combination of bases: (N_t, 3) cage offsets for a K-vector."""
@@ -84,8 +79,6 @@ class DeformOperator:
     """
 
     def __init__(self, cage: Cage, source: TriMesh, n_samples: int, seed: int = 0):
-        self.cage = cage
-        self.source = source
         rng = np.random.default_rng(seed)
         areas = source.face_areas()
         fidx = rng.choice(source.n_faces, size=n_samples, p=areas / areas.sum())
@@ -283,15 +276,17 @@ class BasisFit:
 def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
               cfg: FitConfig | None = None,
               init: BasisSet | None = None,
-              extra_basis_grad=None) -> BasisFit:
+              extra_basis_grad: np.ndarray | None = None,
+              seed: int = 0) -> BasisFit:
     """Alternating fit of K deformation bases and per-target coefficients.
 
     All pairs must share the source convex (and thus the cage). Each outer
     iteration fits coefficients by ICP-style Chamfer minimization, solves the
     matched objective for the bases in closed form, then takes gradient steps
-    on the regularized objective. ``extra_basis_grad``, when given, is called
-    with the current bases and its result is added to the regularizer
-    gradient (hook for the physics penalty at fine-tuning time).
+    on the regularized objective. ``extra_basis_grad``, a (K, N_t, 3) array
+    when given, is added to the objective's gradient at every step (the
+    frozen physics penalty at fine-tuning time). ``seed`` drives the random
+    initial bases and the surface samples.
     """
     cfg = cfg or FitConfig()
     if not pairs:
@@ -299,7 +294,7 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
     if np.abs(cage.phi).max() == 0:
         raise ValueError("degenerate cage: zero interpolation matrix")
     source = pairs[0][0]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n_t = cage.mesh.n_vertices
     if init is not None:
         b = np.array(init.bases)
@@ -309,12 +304,13 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         scale = 0.1 * max(np.ptp(source.vertices, axis=0).max(), 1e-6)
         b = rng.normal(scale=scale, size=(k, n_t, 3))
 
-    ops = [DeformOperator(cage, source, cfg.chamfer_samples, seed=cfg.seed + i)
+    ops = [DeformOperator(cage, source, cfg.chamfer_samples, seed=seed + i)
            for i in range(len(pairs))]
     # targets may be meshes (sampled here) or pre-sampled point arrays
     target_pts = [t if isinstance(t, np.ndarray)
-                  else sample_surface(t, cfg.chamfer_samples, seed=cfg.seed + 7919 + i)
+                  else sample_surface(t, cfg.chamfer_samples, seed=seed + 7919 + i)
                   for i, (_, t) in enumerate(pairs)]
+    extra = 0.0 if extra_basis_grad is None else extra_basis_grad
 
     coeffs = [np.zeros(k) for _ in pairs]
     history: list[float] = []
@@ -340,16 +336,13 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         # gradient descent on the full regularized objective
         lr = cfg.reg_lr
         obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
-        if extra_basis_grad is not None:
-            grad = grad + extra_basis_grad(BasisSet(b), coeffs)
+        grad = grad + extra
         for _ in range(cfg.reg_steps):
             b_try = b - lr * grad
             obj_try, grad_try = basis_objective_and_grad(
                 b_try, ops, target_pts, coeffs, corrs, cfg)
-            if extra_basis_grad is not None:
-                grad_try = grad_try + extra_basis_grad(BasisSet(b_try), coeffs)
             if obj_try < obj:
-                b, obj, grad = b_try, obj_try, grad_try
+                b, obj, grad = b_try, obj_try, grad_try + extra
                 lr *= 1.2
             else:
                 lr *= 0.5

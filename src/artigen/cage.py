@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -224,46 +222,3 @@ def smooth_weights(cages: list[Cage], convexes: list[TriMesh],
         out.append(rows)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Cage cache
-
-
-def cage_cache_key(convex: TriMesh, epsilon: float) -> str:
-    return f"{convex.content_hash()}-eps{epsilon:.6g}"
-
-
-class CageCache:
-    """JSON file cache of fitted cages keyed by convex content hash."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"cage-{key}.json"
-
-    def get(self, convex: TriMesh, epsilon: float) -> Cage | None:
-        path = self._path(cage_cache_key(convex, epsilon))
-        if not path.exists():
-            return None
-        rec = json.loads(path.read_text())
-        mesh = TriMesh(np.array(rec["vertices"]), np.array(rec["faces"]))
-        return Cage(mesh=mesh, phi=np.array(rec["phi"]))
-
-    def put(self, convex: TriMesh, epsilon: float, cage: Cage) -> None:
-        path = self._path(cage_cache_key(convex, epsilon))
-        rec = {
-            "vertices": cage.mesh.vertices.tolist(),
-            "faces": cage.mesh.faces.tolist(),
-            "phi": cage.phi.tolist(),
-        }
-        path.write_text(json.dumps(rec))
-
-    def get_or_build(self, convex: TriMesh, epsilon: float = 0.05,
-                     template: TriMesh | None = None) -> Cage:
-        cage = self.get(convex, epsilon)
-        if cage is None:
-            cage = build_cage(convex, template=template, epsilon=epsilon)
-            self.put(convex, epsilon, cage)
-        return cage

@@ -29,14 +29,17 @@ def _build_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     if args.profile == "desk":
         cfg = desk_profile(cfg)
-    if args.config:
-        cfg = apply_overrides(cfg, _load_config_file(args.config))
+    rec = _load_config_file(args.config) if args.config else {}
+    cfg = apply_overrides(cfg, rec)
+    # a seed reaches the simulation too, unless the file seeds it itself
+    if "seed" in rec and "seed" not in rec.get("sim", {}):
+        cfg.sim.seed = cfg.seed
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.sim.seed = args.seed
+        cfg.seed = cfg.sim.seed = args.seed
     if getattr(args, "lambda_phy", None) is not None:
         cfg.lambda_phy = args.lambda_phy
-    cfg.jobs = args.jobs
+    if args.jobs is not None:
+        cfg.jobs = args.jobs
     return cfg
 
 
@@ -60,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON or TOML config override file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--profile", choices=("paper", "desk"), default="paper")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="per-convex fits run in parallel during pretrain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="fit per-convex deformation bases")
@@ -105,14 +109,12 @@ def main(argv=None) -> int:
     _write_provenance(out, args, cfg)
 
     if args.command == "pretrain":
-        model = pipeline.cmd_pretrain(args.dataset, out / "model.json", cfg,
-                                      cache_dir=out / "cages")
+        model = pipeline.cmd_pretrain(args.dataset, out / "model.json", cfg)
         print(f"pretrained {len(model.convexes)} convex bases -> {out/'model.json'}")
 
     elif args.command == "finetune":
         model = pipeline.cmd_finetune(args.dataset, out / "model.json", cfg,
-                                      pretrained_path=args.pretrained,
-                                      cache_dir=out / "cages")
+                                      pretrained_path=args.pretrained)
         print(f"finetuned model with sync + GMM -> {out/'model.json'}")
 
     elif args.command == "sample":

@@ -70,13 +70,15 @@ class TriMesh:
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    def content_hash(self) -> str:
-        import hashlib
 
-        h = hashlib.sha256()
-        h.update(self.vertices.tobytes())
-        h.update(self.faces.tobytes())
-        return h.hexdigest()
+def _finite_vector(val, n: int, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(val, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.size != n or not np.isfinite(arr).all():
+        raise ManifestError(f"joint {what} must be {n} finite numbers, got {val!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -91,13 +93,13 @@ class Joint:
     def __post_init__(self):
         if self.kind not in (REVOLUTE, PRISMATIC, FIXED):
             raise ManifestError(f"unknown joint kind {self.kind!r}")
-        axis = np.asarray(self.axis, dtype=np.float64).reshape(3)
-        pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
+        axis = _finite_vector(self.axis, 3, "axis")
+        pivot = _finite_vector(self.pivot, 3, "pivot")
         if self.kind != FIXED:
             n = np.linalg.norm(axis)
             if abs(n - 1.0) > _AXIS_TOL:
                 raise ManifestError(f"joint axis must be unit length, |axis|={n}")
-        lo, hi = float(self.range[0]), float(self.range[1])
+        lo, hi = map(float, _finite_vector(self.range, 2, "range"))
         if self.kind != FIXED and lo > hi:
             raise ManifestError(f"joint range [{lo}, {hi}] has l > u")
         axis.setflags(write=False)
@@ -135,44 +137,17 @@ class Part:
 
 
 @dataclass(frozen=True)
-class ArticulationState:
-    """Named full assignment of joint values, one scalar per part."""
-
-    name: str
-    states: dict[str, float]
-
-
-@dataclass(frozen=True)
 class ArticulatedObject:
     parts: tuple[Part, ...]
-    chain_states: tuple[ArticulationState, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "chain_states", tuple(self.chain_states))
         n_fixed = sum(1 for p in self.parts if p.joint.is_fixed)
         if n_fixed > 1:
             raise ManifestError(f"{n_fixed} fixed parts; at most one fixed root allowed")
         names = {p.name for p in self.parts}
         if len(names) != len(self.parts):
             raise ManifestError("duplicate part names")
-        for cs in self.chain_states:
-            for pname, s in cs.states.items():
-                part = self.part(pname)
-                lo, hi = part.joint.range
-                if not part.joint.is_fixed and not (lo - 1e-12 <= s <= hi + 1e-12):
-                    raise ManifestError(
-                        f"chain state {cs.name!r}: {s} outside range of {pname!r}"
-                    )
-
-    def part(self, name: str) -> Part:
-        for p in self.parts:
-            if p.name == name:
-                return p
-        raise ManifestError(f"unknown part {name!r}")
-
-    def convex_count(self) -> int:
-        return sum(len(p.convexes) for p in self.parts)
 
 
 def merge_meshes(meshes) -> TriMesh:
@@ -250,19 +225,17 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 
 def _parse_joint(rec: dict) -> Joint:
-    kind = rec.get("kind", FIXED).lower()
+    kind = str(rec.get("kind", FIXED)).lower()
     if kind == FIXED:
         return Joint(FIXED)
-    axis = np.asarray(rec.get("axis", []), dtype=np.float64)
-    if axis.shape != (3,):
-        raise ManifestError(f"joint axis must be a 3-vector, got {rec.get('axis')}")
+    if kind not in (REVOLUTE, PRISMATIC):
+        raise ManifestError(f"unknown joint kind {kind!r}")
+    axis = _finite_vector(rec.get("axis", []), 3, "axis")
     n = np.linalg.norm(axis)
     if n < 1e-12:
         raise ManifestError("joint axis has zero length")
-    axis = axis / n
-    pivot = np.asarray(rec.get("pivot", [0.0, 0.0, 0.0]), dtype=np.float64)
-    rng = rec.get("range", [0.0, 0.0])
-    return Joint(kind, axis=axis, pivot=pivot, range=(float(rng[0]), float(rng[1])))
+    return Joint(kind, axis=axis / n, pivot=rec.get("pivot", [0.0, 0.0, 0.0]),
+                 range=rec.get("range", [0.0, 0.0]))
 
 
 def load_manifest(path) -> ArticulatedObject:
@@ -287,19 +260,15 @@ def load_manifest(path) -> ArticulatedObject:
             if not p.exists():
                 raise ManifestError(f"{path}: missing convex file {rel!r} for part {name!r}")
             convexes.append(load_obj(p))
-        joint = _parse_joint(rec.get("joint", {}))
-        parts.append(
-            Part(name=name, convexes=tuple(convexes), joint=joint,
-                 ref_states=tuple(rec.get("ref_states", [])))
-        )
+        try:
+            parts.append(Part(name=name, convexes=tuple(convexes),
+                              joint=_parse_joint(rec.get("joint", {})),
+                              ref_states=tuple(rec.get("ref_states", []))))
+        except ManifestError as e:
+            raise ManifestError(f"{path}: part {name!r}: {e}") from e
     if not parts:
         raise ManifestError(f"{path}: manifest declares no parts")
-    chain_states = tuple(
-        ArticulationState(rec.get("name", f"state{i}"),
-                          {k: float(v) for k, v in rec.get("states", {}).items()})
-        for i, rec in enumerate(spec.get("chain_states", []))
-    )
-    return ArticulatedObject(parts=tuple(parts), chain_states=chain_states)
+    return ArticulatedObject(parts=tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from .mesh import (
     PRISMATIC,
     ArticulatedObject,
     Joint,
-    Part,
     TriMesh,
     articulate,
     merge_meshes,
@@ -227,30 +226,16 @@ class DeformablePart:
     joint: Joint
     ref_states: tuple[float, ...] = ()
     convex_slices: list[tuple[int, int]] = field(default_factory=list)
-    convex_faces: list[np.ndarray] = field(default_factory=list)
 
     def mesh_at(self, z: np.ndarray) -> TriMesh:
         return TriMesh(self.v0 + self.jac @ np.asarray(z, dtype=np.float64),
                        self.faces)
-
-    def convex_meshes_at(self, z: np.ndarray) -> list[TriMesh]:
-        v = self.v0 + self.jac @ np.asarray(z, dtype=np.float64)
-        return [TriMesh(v[a:b], f) for (a, b), f in
-                zip(self.convex_slices, self.convex_faces)]
 
 
 @dataclass
 class DeformableObject:
     parts: list[DeformablePart]
     k: int
-
-    def to_object(self, z: np.ndarray) -> ArticulatedObject:
-        parts = [
-            Part(name=p.name, convexes=tuple(p.convex_meshes_at(z)),
-                 joint=p.joint, ref_states=p.ref_states)
-            for p in self.parts
-        ]
-        return ArticulatedObject(parts=tuple(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ from .basis import (
     fit_gmm,
     sample_gmm,
 )
-from .cage import Cage, CageCache, build_cage, smooth_weights
-from .mesh import ArticulatedObject, TriMesh, load_manifest, merge_meshes, save_obj
+from .cage import Cage, build_cage, smooth_weights
+from .mesh import (ArticulatedObject, TriMesh, load_manifest, load_obj,
+                   merge_meshes, sample_surface, save_obj)
+from .metrics import evaluate
 from .physics import (
     DeformableObject,
     DeformablePart,
@@ -28,6 +30,7 @@ from .physics import (
     TRAIN_PROJ,
     correct_shape,
     grad_phy_wrt_vertices,
+    physics_losses,
 )
 from .sync import SyncState, synced_bases, synchronize
 
@@ -92,11 +95,10 @@ def apply_overrides(cfg, rec: dict, where: str = ""):
 class Dataset:
     objects: list[ArticulatedObject]
     paths: list[str]
-    role: str = "pretrain"
 
 
 def load_dataset(path) -> Dataset:
-    """A dataset manifest is a JSON list of object manifests plus a role."""
+    """A dataset manifest is a JSON list of object manifests."""
     path = Path(path)
     rec = json.loads(path.read_text())
     if "objects" not in rec or not rec["objects"]:
@@ -106,7 +108,7 @@ def load_dataset(path) -> Dataset:
         p = path.parent / entry
         objs.append(load_manifest(p))
         names.append(str(entry))
-    ds = Dataset(objects=objs, paths=names, role=rec.get("role", "pretrain"))
+    ds = Dataset(objects=objs, paths=names)
     check_correspondence(ds)
     return ds
 
@@ -134,11 +136,8 @@ def check_correspondence(ds: Dataset) -> None:
 
 def _flat_convexes(obj: ArticulatedObject) -> list[tuple[int, int, TriMesh]]:
     """(part index, index within part, convex) in manifest order."""
-    out = []
-    for pi, part in enumerate(obj.parts):
-        for ci, convex in enumerate(part.convexes):
-            out.append((pi, ci, convex))
-    return out
+    return [(pi, ci, convex) for pi, part in enumerate(obj.parts)
+            for ci, convex in enumerate(part.convexes)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +234,6 @@ def _object_blend_radius(obj: ArticulatedObject, rel: float) -> float:
 
 
 def build_deformable(model: Model, source: ArticulatedObject,
-                     blend_radius: float | None = None,
                      blend_radius_rel: float = 0.05,
                      use_sync: bool = True,
                      cages: list[Cage] | None = None) -> DeformableObject:
@@ -263,12 +261,12 @@ def build_deformable(model: Model, source: ArticulatedObject,
             raise PipelineError("model has no synchronization state")
         eff = [BasisSet(synced_bases(c.bases, s))
                for c, s in zip(model.convexes, model.sync.s_matrices)]
-        k_total = k
+        cols = [0] * m_total        # every convex reads the one global block
     else:
         eff = [c.bases for c in model.convexes]
-        k_total = m_total * k
-    if blend_radius is None:
-        blend_radius = _object_blend_radius(source, blend_radius_rel)
+        cols = [m * k for m in range(m_total)]
+    k_total = cols[-1] + k
+    blend_radius = _object_blend_radius(source, blend_radius_rel)
 
     parts = []
     flat_idx = 0
@@ -276,32 +274,19 @@ def build_deformable(model: Model, source: ArticulatedObject,
         convexes = list(part.convexes)
         idxs = list(range(flat_idx, flat_idx + len(convexes)))
         flat_idx += len(convexes)
-        part_cages = [cages[i] for i in idxs]
-        weights = smooth_weights(part_cages, convexes, blend_radius)
-        v0_blocks, jac_blocks, slices, faces_list = [], [], [], []
-        offset = 0
-        for local, (convex, gi) in enumerate(zip(convexes, idxs)):
-            nv = convex.n_vertices
-            jac = np.zeros((nv, 3, k_total))
-            for other_local, other_gi in enumerate(idxs):
-                w = weights[local][other_local]          # (nv, N_t)
-                b = eff[other_gi].bases                   # (K, N_t, 3)
-                block = np.einsum("vt,jta->vaj", w, b)
-                if use_sync:
-                    jac += block
-                else:
-                    jac[:, :, other_gi * k:(other_gi + 1) * k] += block
-            v0_blocks.append(convex.vertices)
-            jac_blocks.append(jac)
-            slices.append((offset, offset + nv))
-            faces_list.append(np.array(convex.faces))
-            offset += nv
+        weights = smooth_weights([cages[i] for i in idxs], convexes, blend_radius)
+        starts = np.cumsum([0] + [c.n_vertices for c in convexes])
+        slices = list(zip(starts[:-1], starts[1:]))
+        jac = np.zeros((starts[-1], 3, k_total))
+        for (a, b), w_row in zip(slices, weights):
+            for w, gi in zip(w_row, idxs):                # w: (nv, N_t)
+                c = cols[gi]
+                jac[a:b, :, c:c + k] += np.einsum("vt,jta->vaj", w, eff[gi].bases)
         merged = merge_meshes(convexes)
         parts.append(DeformablePart(
-            name=part.name, v0=np.concatenate(v0_blocks),
-            jac=np.concatenate(jac_blocks), faces=np.array(merged.faces),
-            joint=part.joint, ref_states=part.ref_states,
-            convex_slices=slices, convex_faces=faces_list,
+            name=part.name, v0=np.array(merged.vertices), jac=jac,
+            faces=np.array(merged.faces), joint=part.joint,
+            ref_states=part.ref_states, convex_slices=slices,
         ))
     return DeformableObject(parts=parts, k=k_total)
 
@@ -312,47 +297,38 @@ def stack_coeffs(model: Model, target_index: int) -> np.ndarray:
                            for c in model.convexes])
 
 
-def unstack_coeffs(z: np.ndarray, m_total: int, k: int) -> list[np.ndarray]:
-    return [z[m * k:(m + 1) * k] for m in range(m_total)]
-
-
 # ---------------------------------------------------------------------------
 # Pretraining
 
 
-def _fit_one_convex(args):
-    (pi, ci, source_convex, targets, cage, k, fit_cfg, init, hook) = args
-    pairs = [(source_convex, t) for t in targets]
-    fit = fit_bases(pairs, cage, k, cfg=fit_cfg, init=init, extra_basis_grad=hook)
-    return ConvexModel(
-        part_index=pi, convex_index=ci, cage=cage, bases=fit.bases,
-        coeffs=np.stack(fit.coeffs), loss_history=fit.loss_history,
-        converged=fit.converged,
-    )
+def _convex_seed(cfg: PipelineConfig, pi: int, ci: int) -> int:
+    """Fitting seed of convex ``ci`` of part ``pi``, shared by both fitting stages."""
+    return cfg.seed + 31 * (pi * 97 + ci)
 
 
-def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig,
-                 cache_dir=None) -> Model:
-    """Fit per-convex deformation bases on all correspondence pairs."""
+def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
+    """Fit per-convex deformation bases on all correspondence pairs.
+
+    Convexes are fitted independently, ``cfg.jobs`` at a time.
+    """
     ds = load_dataset(dataset_path)
     if len(ds.objects) < 2:
         raise PipelineError("pretraining needs at least 2 corresponding objects")
     source, targets = ds.objects[0], ds.objects[1:]
-    cache = CageCache(cache_dir) if cache_dir else None
 
-    jobs = []
-    for pi, ci, convex in _flat_convexes(source):
-        cage = (cache.get_or_build(convex, cfg.epsilon) if cache
-                else build_cage(convex, epsilon=cfg.epsilon))
-        tgt = [t.parts[pi].convexes[ci] for t in targets]
-        fit_cfg = replace(cfg.fit, seed=cfg.seed + 31 * (pi * 97 + ci))
-        jobs.append((pi, ci, convex, tgt, cage, cfg.k, fit_cfg, None, None))
+    def fit_one(flat_convex) -> ConvexModel:
+        pi, ci, convex = flat_convex
+        cage = build_cage(convex, epsilon=cfg.epsilon)
+        fit = fit_bases([(convex, t.parts[pi].convexes[ci]) for t in targets],
+                        cage, cfg.k, cfg=cfg.fit, seed=_convex_seed(cfg, pi, ci))
+        return ConvexModel(
+            part_index=pi, convex_index=ci, cage=cage, bases=fit.bases,
+            coeffs=np.stack(fit.coeffs), loss_history=fit.loss_history,
+            converged=fit.converged,
+        )
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            convexes = list(pool.map(_fit_one_convex, jobs))
-    else:
-        convexes = [_fit_one_convex(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        convexes = list(pool.map(fit_one, _flat_convexes(source)))
 
     model = Model(k=cfg.k, epsilon=cfg.epsilon, convexes=convexes,
                   source_manifest=ds.paths[0], seed=cfg.seed)
@@ -387,7 +363,7 @@ def _phy_basis_grads(model: Model, dobj: DeformableObject,
 
 
 def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
-                 pretrained_path=None, cache_dir=None) -> Model:
+                 pretrained_path=None) -> Model:
     """Continue basis optimization with collision terms, then synchronize.
 
     Each outer iteration runs the train-time correction on the stacked
@@ -400,7 +376,6 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
         raise PipelineError("finetuning needs at least 2 corresponding objects")
     source, targets = ds.objects[0], ds.objects[1:]
     n_targets = len(targets)
-    cache = CageCache(cache_dir) if cache_dir else None
 
     pre = load_model(pretrained_path) if pretrained_path else None
     flat = _flat_convexes(source)
@@ -413,17 +388,14 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
     convexes: list[ConvexModel] = []
     for fi, (pi, ci, convex) in enumerate(flat):
         if pre is not None:
-            cage, init = pre.convexes[fi].cage, pre.convexes[fi].bases
+            cage, bases = pre.convexes[fi].cage, pre.convexes[fi].bases
         else:
-            cage = (cache.get_or_build(convex, cfg.epsilon) if cache
-                    else build_cage(convex, epsilon=cfg.epsilon))
-            init = None
+            cage = build_cage(convex, epsilon=cfg.epsilon)
+            bases = BasisSet(np.random.default_rng(cfg.seed + fi).normal(
+                scale=0.1 * max(np.ptp(convex.vertices), 1e-6),
+                size=(cfg.k, cage.mesh.n_vertices, 3)))
         convexes.append(ConvexModel(
-            part_index=pi, convex_index=ci, cage=cage,
-            bases=init if init is not None else BasisSet(
-                np.random.default_rng(cfg.seed + fi).normal(
-                    scale=0.1 * max(np.ptp(convex.vertices), 1e-6),
-                    size=(cfg.k, cage.mesh.n_vertices, 3))),
+            part_index=pi, convex_index=ci, cage=cage, bases=bases,
             coeffs=np.zeros((n_targets, cfg.k)), loss_history=[],
             converged=False,
         ))
@@ -431,32 +403,27 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
                   source_manifest=ds.paths[0], seed=cfg.seed)
 
     one_round = replace(cfg.fit, outer_iters=1)
-    multi_part = len(source.parts) > 1
     lc_history: list[float] = []
     for outer in range(cfg.finetune_outer_iters):
-        phy_grads = None
-        if cfg.lambda_phy > 0 and multi_part:
+        phy_grads = [None] * len(flat)
+        if cfg.lambda_phy > 0:
             # train-time correction on the stacked coefficients, per target
-            dobj = build_deformable(model, source, blend_radius=0.0,
+            dobj = build_deformable(model, source, blend_radius_rel=0.0,
                                     use_sync=False,
                                     cages=[c.cage for c in model.convexes])
             for i in range(n_targets):
                 z, _, _ = correct_shape(dobj, stack_coeffs(model, i),
                                         cfg.proj_train, cfg.sim)
-                for m, zm in enumerate(unstack_coeffs(z, len(flat), cfg.k)):
-                    model.convexes[m].coeffs[i] = zm
+                for cm, zm in zip(model.convexes, z.reshape(len(flat), cfg.k)):
+                    cm.coeffs[i] = zm
             phy_grads = _phy_basis_grads(model, dobj, n_targets, cfg)
 
         round_losses = []
-        for fi, (pi, ci, convex) in enumerate(flat):
-            cm = model.convexes[fi]
-            hook = None
-            if phy_grads is not None:
-                hook = lambda bases, coeffs, g=phy_grads[fi]: g
+        for (pi, ci, convex), cm, g in zip(flat, model.convexes, phy_grads):
             pairs = [(convex, t.parts[pi].convexes[ci]) for t in targets]
-            fit_cfg = replace(one_round, seed=cfg.seed + 31 * (pi * 97 + ci))
-            fit = fit_bases(pairs, cm.cage, cfg.k, cfg=fit_cfg,
-                            init=cm.bases, extra_basis_grad=hook)
+            fit = fit_bases(pairs, cm.cage, cfg.k, cfg=one_round,
+                            init=cm.bases, extra_basis_grad=g,
+                            seed=_convex_seed(cfg, pi, ci))
             cm.bases = fit.bases
             cm.coeffs = np.stack(fit.coeffs)
             cm.loss_history.extend(fit.loss_history)
@@ -499,20 +466,14 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
         zs = np.zeros((n, model.k))
     else:
         zs = sample_gmm(model.gmm, seed=seed, n=n)
-    multi_part = len(reference.parts) > 1
 
     samples = []
     for i in range(n):
-        if multi_part:
-            z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
-            apd_before, apd_after = before.l_phy, after.l_phy
-        else:
-            z, apd_before, apd_after = zs[i], 0.0, 0.0
-        obj = dobj.to_object(z)
+        z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
         path = out_dir / f"sample_{i:03d}.obj"
-        save_obj(merge_meshes([p.merged() for p in obj.parts]), path)
-        samples.append({"file": path.name, "z": np.asarray(z).tolist(),
-                        "apd_before": apd_before, "apd_after": apd_after})
+        save_obj(merge_meshes([p.mesh_at(z) for p in dobj.parts]), path)
+        samples.append({"file": path.name, "z": z.tolist(),
+                        "apd_before": before.l_phy, "apd_after": after.l_phy})
     report = {
         "n": n, "seed": seed, "z_zero": z_zero,
         "mean_apd_before": float(np.mean([s["apd_before"] for s in samples])),
@@ -536,15 +497,12 @@ def cmd_correct(model_path, reference_path, cfg: PipelineConfig,
         z = model.gmm.mean() if model.gmm else np.zeros(model.k)
     z_new, before, after = correct_shape(dobj, z, cfg.proj_test, cfg.sim)
     if out_path:
-        obj = dobj.to_object(z_new)
-        save_obj(merge_meshes([p.merged() for p in obj.parts]), out_path)
-    return {"z": np.asarray(z_new).tolist(), "before": before.to_dict(),
+        save_obj(merge_meshes([p.mesh_at(z_new) for p in dobj.parts]), out_path)
+    return {"z": z_new.tolist(), "before": before.to_dict(),
             "after": after.to_dict()}
 
 
 def cmd_simulate(manifest_path, cfg: PipelineConfig) -> dict:
-    from .physics import physics_losses
-
     obj = load_manifest(manifest_path)
     return physics_losses(obj, cfg.sim).to_dict()
 
@@ -555,8 +513,6 @@ def cmd_simulate(manifest_path, cfg: PipelineConfig) -> dict:
 
 def _load_generated(gen_dir) -> tuple[list[TriMesh], float | None]:
     gen_dir = Path(gen_dir)
-    from .mesh import load_obj
-
     files = sorted(gen_dir.glob("*.obj"))
     if not files:
         raise PipelineError(f"no .obj files in {gen_dir}")
@@ -570,26 +526,13 @@ def _load_generated(gen_dir) -> tuple[list[TriMesh], float | None]:
 
 def cmd_eval(generated_dir, reference_dataset_path, cfg: PipelineConfig) -> dict:
     """Point-sample both populations and compute the distribution metrics."""
-    from .mesh import sample_surface
-    from .metrics import evaluate
-
     gen_meshes, apd = _load_generated(generated_dir)
     ds = load_dataset(reference_dataset_path)
     ref_meshes = [merge_meshes([p.merged() for p in o.parts]) for o in ds.objects]
-
-    def _cloud(args):
-        i, m = args
-        return sample_surface(m, cfg.eval_points, seed=cfg.seed + i)
-
     # seed by position within each set so identical populations get
     # identical clouds
-    items = list(enumerate(gen_meshes)) + list(enumerate(ref_meshes))
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            clouds = list(pool.map(_cloud, items))
-    else:
-        clouds = [_cloud(it) for it in items]
-    gen = clouds[: len(gen_meshes)]
-    ref = clouds[len(gen_meshes):]
+    gen, ref = ([sample_surface(m, cfg.eval_points, seed=cfg.seed + i)
+                 for i, m in enumerate(meshes)]
+                for meshes in (gen_meshes, ref_meshes))
     result = evaluate(gen, ref, apd_value=apd)
     return {"metrics": result.to_dict(), "table": result.table()}

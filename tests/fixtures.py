@@ -113,19 +113,13 @@ def write_eyeglasses(root: Path, index: int, rng: np.random.Generator) -> Path:
                 "ref_states": [0.0],
             },
         ],
-        "chain_states": [
-            {"name": "open", "states": {"frame": 0.0, "leg_l": 0.0, "leg_r": 0.0}},
-            {"name": "folded", "states": {"frame": 0.0, "leg_l": 1.5,
-                                          "leg_r": -1.5}},
-        ],
     }
     path = obj_dir / "object.json"
     path.write_text(json.dumps(manifest, indent=2))
     return path
 
 
-def write_eyeglasses_dataset(root: Path, n: int = 5, seed: int = 0,
-                             role: str = "finetune-train") -> Path:
+def write_eyeglasses_dataset(root: Path, n: int = 5, seed: int = 0) -> Path:
     root = Path(root)
     rng = np.random.default_rng(seed)
     entries = []
@@ -133,5 +127,5 @@ def write_eyeglasses_dataset(root: Path, n: int = 5, seed: int = 0,
         path = write_eyeglasses(root, i, rng)
         entries.append(str(path.relative_to(root)))
     ds = root / "dataset.json"
-    ds.write_text(json.dumps({"objects": entries, "role": role}, indent=2))
+    ds.write_text(json.dumps({"objects": entries}, indent=2))
     return ds

@@ -84,7 +84,7 @@ def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,
     return DeformablePart(
         name=name, v0=np.array(mesh.vertices), jac=np.zeros((mesh.n_vertices, 3, k)),
         faces=np.array(mesh.faces), joint=joint, ref_states=tuple(ref_states),
-        convex_slices=[(0, mesh.n_vertices)], convex_faces=[np.array(mesh.faces)],
+        convex_slices=[(0, mesh.n_vertices)],
     )
 
 

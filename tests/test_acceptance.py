@@ -99,16 +99,16 @@ def test_basis_recovery_and_gradient():
     true_b = BasisSet(rng.normal(scale=0.08, size=(2, 42, 3)))
     zs = [np.array([1.0, 0.3]), np.array([-0.5, 0.8]), np.array([0.2, -0.9])]
     cfg = FitConfig(chamfer_samples=512, outer_iters=30, lambda_orth=0.0,
-                    lambda_sp=0.0, seed=0)
-    ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=cfg.seed + i)
+                    lambda_sp=0.0)
+    ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 2, cfg=cfg)
+    fit = fit_bases([(box, t) for t in targets], cage, 2, cfg=cfg, seed=0)
     cd = max(chamfer_distance(op.points(fit.bases, z), t)
              for op, t, z in zip(ops, targets, fit.coeffs))
 
     scage, src = small_cage()
-    gcfg = FitConfig(chamfer_samples=64, seed=0)
+    gcfg = FitConfig(chamfer_samples=64)
     gops = [DeformOperator(scage, src, 64, seed=i) for i in range(2)]
     gtargets = [op.p0 + rng.normal(scale=0.1, size=op.p0.shape) for op in gops]
     b = rng.normal(scale=0.1, size=(2, 6, 3))
@@ -204,7 +204,7 @@ def _hinge_deformable(k=4, seed=0) -> DeformableObject:
         name="rod", v0=np.array(rod.vertices),
         jac=0.05 * rng.normal(size=(rod.n_vertices, 3, k)),
         faces=np.array(rod.faces), joint=joint,
-        convex_slices=[(0, rod.n_vertices)], convex_faces=[np.array(rod.faces)],
+        convex_slices=[(0, rod.n_vertices)],
     )
     return DeformableObject(parts=[wall_part, rod_part], k=k)
 

@@ -3,7 +3,6 @@ import pytest
 
 from artigen.cage import (
     Cage,
-    CageCache,
     build_cage,
     cage_template,
     mean_value_coordinates,
@@ -211,13 +210,3 @@ def test_smooth_weights_reduce_seam_gap():
     soft = smooth_weights(cages, [a, b], blend_radius=0.5)
     assert seam_gap(soft) < seam_gap(hard)
 
-
-def test_cage_cache_round_trip(tmp_path):
-    box = grid_box(3)
-    cache = CageCache(tmp_path)
-    c1 = cache.get_or_build(box)
-    c2 = cache.get_or_build(box)  # served from disk
-    np.testing.assert_array_equal(c1.mesh.vertices, c2.mesh.vertices)
-    np.testing.assert_array_equal(c1.phi, c2.phi)
-    assert cache.get(box, 0.05) is not None
-    assert cache.get(box, 0.07) is None

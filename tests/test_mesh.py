@@ -152,15 +152,25 @@ def test_load_manifest(tmp_path):
     path = _write_manifest(tmp_path, {"kind": "revolute", "axis": [0, 0, 2],
                                       "pivot": [0, 0, 0], "range": [0, 1]})
     obj = load_manifest(path)  # non-unit axis is normalized at load
-    assert obj.part("arm").joint.axis[2] == 1.0
-    assert obj.convex_count() == 2
+    assert obj.parts[1].name == "arm" and obj.parts[1].joint.axis[2] == 1.0
+    assert sum(len(p.convexes) for p in obj.parts) == 2
 
 
 def test_load_manifest_zero_axis(tmp_path):
-    path = _write_manifest(tmp_path, {"kind": "revolute", "axis": [0, 0, 0],
-                                      "range": [0, 1]})
-    with pytest.raises(ManifestError):
-        load_manifest(path)
+    good = {"kind": "revolute", "axis": [0, 0, 1], "pivot": [0, 0, 0],
+            "range": [0, 1]}
+    bad = [
+        ({"axis": [0, 0, 0]}, "zero length"),
+        ({"range": [0.0]}, "range"),
+        ({"pivot": [0.0, 0.0]}, "pivot"),
+        ({"range": [0.0, float("inf")]}, "range"),
+        ({"range": [float("nan"), 1.0]}, "range"),
+        ({"kind": "hinge"}, "unknown joint kind 'hinge'"),
+    ]
+    for change, what in bad:
+        path = _write_manifest(tmp_path, {**good, **change})
+        with pytest.raises(ManifestError, match=f"obj.json: part 'arm': .*{what}"):
+            load_manifest(path)
 
 
 def test_load_manifest_missing_file(tmp_path):
@@ -183,7 +193,3 @@ def test_sample_surface_deterministic_and_on_surface():
     p3 = sample_surface(m, 256, seed=4)
     assert not np.array_equal(p1, p3)
 
-
-def test_content_hash_stable():
-    assert simple_box().content_hash() == simple_box().content_hash()
-    assert simple_box().content_hash() != simple_box((2, 1, 1)).content_hash()

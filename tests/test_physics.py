@@ -203,7 +203,7 @@ def _hinge_deformable(k=4, seed=0) -> DeformableObject:
         name="rod", v0=np.array(rod.vertices),
         jac=0.05 * rng.normal(size=(rod.n_vertices, 3, k)),
         faces=np.array(rod.faces), joint=joint,
-        convex_slices=[(0, rod.n_vertices)], convex_faces=[np.array(rod.faces)],
+        convex_slices=[(0, rod.n_vertices)],
     )
     return DeformableObject(parts=[wall_part, rod_part], k=k)
 

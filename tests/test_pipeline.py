@@ -25,7 +25,6 @@ from artigen.pipeline import (
     load_model,
     save_model,
     stack_coeffs,
-    unstack_coeffs,
 )
 from fixtures import write_eyeglasses_dataset
 
@@ -101,6 +100,15 @@ def test_pretrain_writes_model_and_losses_decrease(pretrained):
         assert cm.coeffs.shape == (2, 3)  # 2 targets, K=3
 
 
+def test_pretrain_jobs_write_identical_model(workdir, pretrained, tmp_path):
+    _, ds = workdir
+    _, path = pretrained
+    cfg = tiny_config()
+    cfg.jobs = 2
+    cmd_pretrain(ds, tmp_path / "model.json", cfg)
+    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+
+
 def test_model_round_trips(pretrained, tmp_path):
     model, _ = pretrained
     p = tmp_path / "copy.json"
@@ -130,18 +138,17 @@ def test_zero_coefficient_reproduces_reference(finetuned, workdir):
     root, ds = workdir
     ref = load_dataset(ds).objects[0]
     dobj = build_deformable(model, ref, cages=[c.cage for c in model.convexes])
-    obj = dobj.to_object(np.zeros(model.k))
-    for got, want in zip(obj.parts, ref.parts):
-        for g, w in zip(got.convexes, want.convexes):
-            assert np.abs(g.vertices - w.vertices).max() < 1e-6
+    for got, want in zip(dobj.parts, ref.parts):
+        g = got.mesh_at(np.zeros(model.k))
+        assert np.abs(g.vertices - want.merged().vertices).max() < 1e-6
+        np.testing.assert_array_equal(g.faces, want.merged().faces)
 
 
 def test_stack_unstack_round_trip(pretrained):
     model, _ = pretrained
     z = stack_coeffs(model, 0)
     assert z.shape == (4 * model.k,)
-    blocks = unstack_coeffs(z, 4, model.k)
-    for m, b in enumerate(blocks):
+    for m, b in enumerate(z.reshape(4, model.k)):
         np.testing.assert_array_equal(b, model.convexes[m].coeffs[0])
 
 
@@ -188,6 +195,25 @@ def test_sample_one(finetuned, workdir, tmp_path):
     assert rep["n"] == 1 and len(rep["samples"]) == 1
     assert len(rep["samples"][0]["z"]) == model.k
     assert (tmp_path / "sample_000.obj").exists()
+
+
+def test_sample_one_part_reference(finetuned, workdir, tmp_path):
+    # every convex in one fixed part: nothing can collide, so correction
+    # keeps the draw and both APDs are zero
+    model, model_path = finetuned
+    root, _ = workdir
+    src = root / "data" / "glasses_01" / "object.json"
+    objs = [str(src.parent / f) for part in json.loads(src.read_text())["parts"]
+            for f in part["convex_objs"]]
+    ref = tmp_path / "one_part.json"
+    ref.write_text(json.dumps({"parts": [{"name": "whole", "convex_objs": objs,
+                                          "joint": {"kind": "fixed"}}]}))
+    rep = cmd_sample(model_path, ref, tmp_path / "out", tiny_config(), n=2, seed=7)
+    drawn = sample_gmm(model.gmm, seed=7, n=2)
+    for i, s in enumerate(rep["samples"]):
+        assert s["apd_before"] == s["apd_after"] == 0.0
+        assert s["z"] == drawn[i].tolist()
+        assert (tmp_path / "out" / s["file"]).exists()
 
 
 def test_cmd_simulate(workdir):
@@ -254,6 +280,23 @@ def test_cli_simulate_smoke(workdir, tmp_path, capsys):
     assert apply_overrides(PipelineConfig(), run["config"]) == desk_profile()
     args = build_parser().parse_args(["finetune", "ds", "out", "--lambda-phy", "0.5"])
     assert _build_config(args).lambda_phy == 0.5
+
+
+def test_cli_config_file_jobs_and_seed(tmp_path):
+    from artigen.cli import _build_config, build_parser
+
+    def build(*flags):
+        return _build_config(build_parser().parse_args([*flags, "simulate", "m", "o"]))
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"jobs": 2, "seed": 3}))
+    cfg = build("--config", str(path))
+    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (2, 3, 3)
+    cfg = build("--config", str(path), "--jobs", "4", "--seed", "5")
+    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (4, 5, 5)
+    path.write_text(json.dumps({"seed": 3, "sim": {"seed": 9}}))
+    cfg = build("--config", str(path))
+    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (1, 3, 9)
 
 
 def test_cli_rejects_unknown_command():
