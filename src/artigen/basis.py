@@ -55,14 +55,19 @@ class BasisSet:
 # Chamfer distance
 
 
-def chamfer_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Symmetric squared-distance Chamfer: mean sq NN both ways, summed."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1, 3)
-    q = np.asarray(q, dtype=np.float64).reshape(-1, 3)
-    if len(p) == 0 or len(q) == 0:
+def chamfer_distance(p: np.ndarray | cKDTree, q: np.ndarray | cKDTree) -> float:
+    """Symmetric squared-distance Chamfer: mean sq NN both ways, summed.
+
+    Either cloud may be passed as a ``cKDTree`` built on it, so a caller that
+    compares one cloud with many builds its tree once.
+    """
+    tp, tq = (x if isinstance(x, cKDTree)
+              else cKDTree(np.asarray(x, dtype=np.float64).reshape(-1, 3))
+              for x in (p, q))
+    if tp.n == 0 or tq.n == 0:
         raise ValueError("chamfer distance of an empty point set")
-    d_pq, _ = cKDTree(q).query(p)
-    d_qp, _ = cKDTree(p).query(q)
+    d_pq, _ = tq.query(tp.data)
+    d_qp, _ = tp.query(tq.data)
     return float(np.mean(d_pq**2) + np.mean(d_qp**2))
 
 

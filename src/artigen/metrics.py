@@ -5,16 +5,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .basis import chamfer_distance
 
 
+def _trees(clouds: list[np.ndarray]) -> list[cKDTree]:
+    return [cKDTree(np.asarray(c, dtype=np.float64).reshape(-1, 3)) for c in clouds]
+
+
 def pairwise_chamfer(gen: list[np.ndarray], ref: list[np.ndarray]) -> np.ndarray:
     """Matrix D[i, j] = CD(gen[i], ref[j]), squared symmetric Chamfer."""
+    ref_trees = _trees(ref)
     d = np.empty((len(gen), len(ref)))
-    for i, g in enumerate(gen):
-        for j, r in enumerate(ref):
+    for i, g in enumerate(_trees(gen)):
+        for j, r in enumerate(ref_trees):
             d[i, j] = chamfer_distance(g, r)
+    return d
+
+
+def _self_chamfer(clouds: list[np.ndarray]) -> np.ndarray:
+    """``pairwise_chamfer(clouds, clouds)`` from its upper triangle.
+
+    Symmetric Chamfer adds the same two means in either order, so the mirror
+    is exact; the diagonal is CD(x, x) = 0.
+    """
+    trees = _trees(clouds)
+    d = np.zeros((len(clouds), len(clouds)))
+    for i, j in zip(*np.triu_indices(len(clouds), 1)):
+        d[i, j] = d[j, i] = chamfer_distance(trees[i], trees[j])
     return d
 
 
@@ -51,8 +70,7 @@ def one_nna(gen: list[np.ndarray], ref: list[np.ndarray],
     if d is None:
         d = pairwise_chamfer(gen, ref)
     # symmetric Chamfer: the ref-gen block is the gen-ref block transposed
-    full = np.block([[pairwise_chamfer(gen, gen), d],
-                     [d.T, pairwise_chamfer(ref, ref)]])
+    full = np.block([[_self_chamfer(gen), d], [d.T, _self_chamfer(ref)]])
     labels = np.array([0] * len(gen) + [1] * len(ref))
     np.fill_diagonal(full, np.inf)
     nearest = full.argmin(axis=1)  # argmin takes the lowest index on ties

@@ -121,14 +121,14 @@ class SimResult:
     phy_grad_v: np.ndarray | None = None
     # (t, v, f) index arrays of the counted crossings; step t runs 0..N_s-1
     crossings: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    # per-face-group losses when the reference stacks equal-size groups
+    # per-face-group losses, each as if its group were simulated alone
     group_pene: np.ndarray | None = None
     group_proj: np.ndarray | None = None
 
 
 def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
                       want_grad: bool = False,
-                      n_face_groups: int | None = None) -> SimResult:
+                      group_counts: np.ndarray | None = None) -> SimResult:
     """Sweep the moving part over its joint range against a static reference.
 
     Implements the stepped signed-depth accumulation: a vertex-face pair
@@ -136,23 +136,32 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     projecting inside the face. Fixed joints contribute (0, 0). Depth terms
     are clamped at 0 from below so exits never contribute negative depth.
 
-    ``n_face_groups`` splits the reference faces into equal contiguous
-    groups and reports each group's own loss (as if simulated alone), which
-    lets one call stand in for several equal-topology references.
+    ``group_counts`` splits the reference faces into ``len(group_counts)``
+    equal contiguous groups and reports each group's own loss (as if
+    simulated alone), which lets one call stand in for several
+    equal-topology references. Group ``g`` stands for ``group_counts[g]``
+    identical references: the totals and gradients weight its crossings by
+    that count, as if the reference held every copy. Without it the whole
+    reference is one group of count 1.
     """
+    counts = (np.ones(1, dtype=np.intp) if group_counts is None
+              else np.asarray(group_counts))
+    n_groups = len(counts)
     no_idx = np.zeros(0, dtype=np.intp)
     zeros = np.zeros((mov.n_vertices, 3)) if want_grad else None
-    gzeros = (np.zeros(n_face_groups) if n_face_groups else None)
     zero = SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
                      crossings=(no_idx, no_idx, no_idx),
-                     group_pene=gzeros, group_proj=gzeros)
+                     group_pene=np.zeros(n_groups), group_proj=np.zeros(n_groups))
     if joint.is_fixed:
         return zero
     if ref.n_faces == 0 or ref.n_vertices == 0:
         warnings.warn("empty reference mesh: penetration losses are 0")
         return zero
-    if n_face_groups and ref.n_faces % n_face_groups:
+    if ref.n_faces % n_groups:
         raise ValueError("reference faces do not split into equal groups")
+    # the int8 signs below read NaN as 0, so non-finite input must not reach them
+    if not (np.isfinite(mov.vertices).all() and np.isfinite(ref.vertices).all()):
+        raise ValueError("non-finite mover or reference vertices")
 
     normals = face_normals(ref)
     rots, trans = _step_transforms(joint, n_steps)
@@ -161,13 +170,17 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     v_all = np.concatenate([mov.vertices[None], v_all], axis=0)  # (N_s+1, nv, 3)
     plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
     nv, nf = mov.n_vertices, ref.n_faces
+    gsize = nf // n_groups
+    n_total = int(counts.sum())
     d_all = (v_all.reshape(-1, 3) @ normals.T).reshape(len(v_all), nv, nf)
     d_all -= plane_d
-    s_all = np.sign(d_all)
-    scale = 1.0 / (n_steps * nv * nf)
+    # the loss is normalized by the face count of the reference with every copy
+    scale = 1.0 / (n_steps * nv * (gsize * n_total))
 
     # sign flips are sparse; evaluate the in-face test only at flip triples
-    ti, vi, fi = np.nonzero(s_all[1:] != s_all[:-1])
+    s8 = (d_all > 0).view(np.int8) - (d_all < 0).view(np.int8)
+    ti, vi, fi = np.nonzero(s8[1:] != s8[:-1])
+    del s8
     if ti.size:
         inside = _in_faces_sparse(v_all[ti + 1, vi], ref, fi)
         ti, vi, fi = ti[inside], vi[inside], fi[inside]
@@ -175,25 +188,24 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         return zero
 
     d = d_all[ti + 1, vi, fi]
-    s = s_all[ti + 1, vi, fi]
+    s = np.sign(d)
+    gi = fi // gsize
+    w = counts[gi].astype(np.float64)
     pene_terms = np.clip(d * s, 0.0, None)
-    pene = float(pene_terms.sum() * scale)
+    pene = float((pene_terms * w).sum() * scale)
     dv = v_all[ti + 1, vi] - v_all[ti, vi]          # step displacement per triple
     n_rows = normals[fi]
     dv_n = np.einsum("na,na->n", dv, n_rows)
     proj_terms = dv_n * d
-    proj = float(proj_terms.sum() * scale)
+    proj = float((proj_terms * w).sum() * scale)
 
-    group_pene = group_proj = None
-    if n_face_groups:
-        gsize = nf // n_face_groups
-        gscale = scale * n_face_groups     # per-group loss uses its own nf
-        gi = fi // gsize
-        group_pene = np.bincount(gi, pene_terms, n_face_groups) * gscale
-        group_proj = np.bincount(gi, proj_terms, n_face_groups) * gscale
+    gscale = scale * n_total     # per-group loss uses its own face count
+    group_pene = np.bincount(gi, pene_terms, n_groups) * gscale
+    group_proj = np.bincount(gi, proj_terms, n_groups) * gscale
 
     proj_grad_v = phy_grad_v = None
     if want_grad:
+        wscale = (scale * w)[:, None]
         proj_grad_v = np.zeros((nv, 3))
         phy_grad_v = np.zeros((nv, 3))
         # displacement term: d dV_t / d V_rest = R_t - R_{t-1}
@@ -201,11 +213,11 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         term1 = np.einsum("nab,na->nb", d_rot[ti], d[:, None] * n_rows)
         # depth term: d d_t / d V_rest = R_t^T N
         term2 = np.einsum("nab,na->nb", rots[ti + 1], dv_n[:, None] * n_rows)
-        np.add.at(proj_grad_v, vi, scale * (term1 + term2))
+        np.add.at(proj_grad_v, vi, wscale * (term1 + term2))
         live = (d * s) > 0
         phy_rows = np.einsum("nab,na->nb", rots[ti + 1],
                              (live * s)[:, None] * n_rows)
-        np.add.at(phy_grad_v, vi, scale * phy_rows)
+        np.add.at(phy_grad_v, vi, wscale * phy_rows)
     return SimResult(pene, proj, proj_grad_v=proj_grad_v, phy_grad_v=phy_grad_v,
                      crossings=(ti, vi, fi), group_pene=group_pene,
                      group_proj=group_proj)
@@ -283,16 +295,22 @@ def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
             g_proj = g_phy = np.zeros((mesh.n_vertices, 3))
         else:
             # every detection process shares the mover trajectory and has an
-            # equal-topology reference, so one stacked simulation covers all
-            refs = []
+            # equal-topology reference, so one stacked simulation covers all;
+            # detections that draw the same states share one reference, kept
+            # in first-draw order and weighted by how many detections drew it
+            refs, first, inverse = [], {}, []
             for det in range(cfg.n_det):
                 rng = np.random.default_rng([cfg.seed, i, det])
                 states = _sample_ref_states(parts, i, rng)
-                refs.append(_articulated_ref_mesh(part_meshes, parts, i, states))
+                key = tuple(states.values())
+                if key not in first:
+                    first[key] = len(refs)
+                    refs.append(_articulated_ref_mesh(part_meshes, parts, i, states))
+                inverse.append(first[key])
             res = single_simulation(mesh, merge_meshes(refs), part.joint,
                                     cfg.n_steps, want_grad=want_grad,
-                                    n_face_groups=cfg.n_det)
-            det_pene, det_proj = res.group_pene, res.group_proj
+                                    group_counts=np.bincount(inverse))
+            det_pene, det_proj = res.group_pene[inverse], res.group_proj[inverse]
             g_proj, g_phy = res.proj_grad_v, res.phy_grad_v
         penes.extend(det_pene)
         projs.extend(det_proj)

@@ -462,16 +462,16 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
 
     dobj = build_deformable(model, reference,
                             blend_radius_rel=cfg.blend_radius_rel)
-    if z_zero:
-        zs = np.zeros((n, model.k))
-    else:
-        zs = sample_gmm(model.gmm, seed=seed, n=n)
+    # every --z-zero entry is the same zero vector: correct it once, reuse it
+    zs = np.zeros((1, model.k)) if z_zero else sample_gmm(model.gmm, seed=seed, n=n)
 
     samples = []
     for i in range(n):
-        z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
+        if i < len(zs):
+            z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
+            mesh = merge_meshes([p.mesh_at(z) for p in dobj.parts])
         path = out_dir / f"sample_{i:03d}.obj"
-        save_obj(merge_meshes([p.mesh_at(z) for p in dobj.parts]), path)
+        save_obj(mesh, path)
         samples.append({"file": path.name, "z": z.tolist(),
                         "apd_before": before.l_phy, "apd_after": after.l_phy})
     report = {

@@ -10,13 +10,18 @@ import numpy as np
 
 from artigen.basis import BasisSet
 from artigen.cage import Cage
-from artigen.mesh import Joint, TriMesh
+from artigen.mesh import Joint, TriMesh, merge_meshes
 from artigen.physics import (
     _BARY_TOL,
+    CollisionReport,
     DeformablePart,
+    SimConfig,
+    _articulated_ref_mesh,
     _face_frames,
+    _sample_ref_states,
     _step_transforms,
     face_normals,
+    single_simulation,
 )
 
 _NORM_EPS = 1e-12
@@ -76,6 +81,43 @@ def frozen_proj_loss(v_rest: np.ndarray, ref: TriMesh, joint: Joint,
     w = mask * d_all[1:]
     per_vertex = np.einsum("tvf,fa->tva", w, normals)
     return float(np.einsum("tva,tva->", dv, per_vertex) / (n_steps * nv * nf))
+
+
+def run_losses_every_detection(parts, part_meshes, cfg: SimConfig,
+                               want_grad: bool = False):
+    """``physics._run_losses`` without deduplication.
+
+    Builds one reference per detection process, identical or not, and sweeps
+    the stack of all ``n_det`` of them, each counted once.
+    """
+    n = len(parts) * cfg.n_det
+    breakdown, penes, projs = [], [], []
+    proj_grads, phy_grads = [], []
+    for i, (part, mesh) in enumerate(zip(parts, part_meshes)):
+        if len(parts) == 1 or part.joint.is_fixed:
+            det_pene = det_proj = np.zeros(cfg.n_det)
+            g_proj = g_phy = np.zeros((mesh.n_vertices, 3))
+        else:
+            refs = []
+            for det in range(cfg.n_det):
+                rng = np.random.default_rng([cfg.seed, i, det])
+                states = _sample_ref_states(parts, i, rng)
+                refs.append(_articulated_ref_mesh(part_meshes, parts, i, states))
+            res = single_simulation(mesh, merge_meshes(refs), part.joint,
+                                    cfg.n_steps, want_grad=want_grad,
+                                    group_counts=np.ones(cfg.n_det, dtype=np.intp))
+            det_pene, det_proj = res.group_pene, res.group_proj
+            g_proj, g_phy = res.proj_grad_v, res.phy_grad_v
+        penes.extend(det_pene)
+        projs.extend(det_proj)
+        for det in range(cfg.n_det):
+            breakdown.append((part.name, det, float(det_pene[det]),
+                              float(det_proj[det])))
+        if want_grad:
+            proj_grads.append(g_proj * cfg.n_det / n)
+            phy_grads.append(g_phy * cfg.n_det / n)
+    report = CollisionReport(float(np.mean(penes)), float(np.mean(projs)), breakdown)
+    return report, proj_grads, phy_grads
 
 
 def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,

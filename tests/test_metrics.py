@@ -4,6 +4,7 @@ import pytest
 from artigen.basis import chamfer_distance
 from artigen.metrics import (
     EvalResult,
+    _self_chamfer,
     cov,
     evaluate,
     jsd,
@@ -54,6 +55,8 @@ def test_pairwise_matrix_matches_direct(rng):
     for i in range(3):
         for j in range(4):
             assert d[i, j] == chamfer_distance(gen[i], ref[j])
+    # one_nna's gen-gen block is built from its upper triangle
+    np.testing.assert_array_equal(_self_chamfer(ref), pairwise_chamfer(ref, ref))
 
 
 def test_mmd_matches_brute_force(rng):

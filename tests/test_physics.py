@@ -9,6 +9,7 @@ from artigen.mesh import (
     Part,
     TriMesh,
     articulate,
+    load_manifest,
     rotation_about_axis,
 )
 from artigen.physics import (
@@ -22,10 +23,11 @@ from artigen.physics import (
     physics_losses,
     single_simulation,
 )
-from fixtures import hinge_wall_rod, simple_box
+from fixtures import hinge_wall_rod, simple_box, write_eyeglasses
 from oracle import (
     frozen_proj_loss,
     rigid_part,
+    run_losses_every_detection,
     vertex_face_distance,
     vertices_in_faces,
 )
@@ -303,3 +305,77 @@ def test_rest_pose_is_sweep_origin():
     res = single_simulation(rod, wall, joint, 2000)
     # the rod starts on the near side of the wall, so it still crosses
     assert res.pene > 0
+
+
+def _eyeglasses_parts(tmp_path, ref_states: bool):
+    path = write_eyeglasses(tmp_path, 0, np.random.default_rng(4))
+    parts = load_manifest(path).parts
+    if not ref_states:
+        parts = tuple(Part(p.name, p.convexes, p.joint) for p in parts)
+    return parts
+
+
+def _pinned_post_parts():
+    # the rod's far end sweeps through the wall and through a post pinned at
+    # one of three tilts; the post tilts against the rod at continuous draws
+    wall, rod, joint = hinge_wall_rod()
+    post = simple_box((0.06, 0.06, 0.8), (0.92, 0.39, 0.0))
+    post_joint = Joint("revolute", axis=np.array([1.0, 0.0, 0.0]),
+                       pivot=np.array([0.92, 0.39, 0.0]), range=(-1.0, 1.0))
+    return (Part("wall", (wall,), Joint("fixed")),
+            Part("rod", (rod,), joint),
+            Part("post", (post,), post_joint, ref_states=(-0.6, 0.0, 0.7)))
+
+
+def _state_counts(parts, mover, cfg):
+    from artigen.physics import _sample_ref_states
+
+    keys = [tuple(_sample_ref_states(parts, mover, np.random.default_rng(
+        [cfg.seed, mover, det])).values()) for det in range(cfg.n_det)]
+    return sorted(keys.count(k) for k in set(keys))
+
+
+@pytest.mark.parametrize("case", ["one_state", "mixed", "all_distinct"])
+def test_dedup_matches_every_detection_oracle(case, tmp_path):
+    from artigen.physics import _run_losses
+
+    cfg = SimConfig(n_steps=40, n_det=10, seed=2)
+    if case == "mixed":
+        parts = _pinned_post_parts()
+        counts = _state_counts(parts, 1, cfg)
+        assert len(counts) > 1 and counts[-1] > 1        # repeated and distinct
+        assert _state_counts(parts, 2, cfg) == [1] * cfg.n_det
+    else:
+        parts = _eyeglasses_parts(tmp_path, ref_states=case == "one_state")
+        want = [cfg.n_det] if case == "one_state" else [1] * cfg.n_det
+        assert _state_counts(parts, 1, cfg) == want
+    meshes = [p.merged() for p in parts]
+    got, got_proj, got_phy = _run_losses(parts, meshes, cfg, want_grad=True)
+    ref, ref_proj, ref_phy = run_losses_every_detection(parts, meshes, cfg,
+                                                        want_grad=True)
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    assert ref.l_phy > 0 and ref.l_proj != 0
+    assert close(got.l_phy, ref.l_phy) and close(got.l_proj, ref.l_proj)
+    assert [r[:2] for r in got.breakdown] == [r[:2] for r in ref.breakdown]
+    assert close([r[2:] for r in got.breakdown], [r[2:] for r in ref.breakdown])
+    for g, r in zip(got_proj + got_phy, ref_proj + ref_phy):
+        assert g.shape == r.shape
+        assert (g == 0).all() if not r.any() else close(g, r)
+    assert any(r.any() for r in ref_proj) and any(r.any() for r in ref_phy)
+
+
+def test_non_finite_vertices_raise():
+    wall, rod, joint = hinge_wall_rod()
+    for bad in (np.nan, np.inf):
+        broken = np.array(rod.vertices)
+        broken[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            single_simulation(TriMesh(broken, rod.faces), wall, joint, 10)
+        broken = np.array(wall.vertices)
+        broken[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            single_simulation(rod, TriMesh(broken, wall.faces), joint, 10)

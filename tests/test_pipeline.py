@@ -186,6 +186,27 @@ def test_sample_z_zero_matches_reference_geometry(finetuned, workdir, tmp_path):
     assert np.abs(got.vertices - want.vertices).max() < 1e-6
 
 
+def test_sample_z_zero_corrects_once(finetuned, workdir, tmp_path, monkeypatch):
+    import artigen.pipeline as pipeline
+
+    _, model_path = finetuned
+    root, _ = workdir
+    original, calls = pipeline.correct_shape, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "correct_shape", counted)
+    rep = cmd_sample(model_path, root / "data" / "glasses_01" / "object.json",
+                     tmp_path, tiny_config(), n=3, z_zero=True)
+    assert len(calls) == 1
+    first, *rest = rep["samples"]
+    assert [dict(s, file=first["file"]) for s in rest] == [first, first]
+    objs = [(tmp_path / s["file"]).read_bytes() for s in rep["samples"]]
+    assert len(objs) == 3 and objs[1:] == [objs[0], objs[0]]
+
+
 def test_sample_one(finetuned, workdir, tmp_path):
     model, model_path = finetuned
     root, _ = workdir
