@@ -116,29 +116,16 @@ class CoeffFit:
     correspondences: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _match(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-target index per point, nearest-point index per target."""
-    _, fwd = cKDTree(targets).query(points)
-    _, back = cKDTree(points).query(targets)
-    return fwd, back
+def _chamfer_and_match(points: np.ndarray, target_tree: cKDTree):
+    """Chamfer distance to the tree's targets and the matches both ways.
 
-
-def _solve_matched(op: DeformOperator, bases: BasisSet, targets: np.ndarray,
-                   fwd: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """Closed-form z for the fixed-correspondence point-matching objective."""
-    e = op.basis_point_offsets(bases)  # (K, n, 3)
-    n_src = op.p0.shape[0]
-    n_tgt = targets.shape[0]
-    # forward rows: p_i(z) -> targets[fwd[i]], weight 1/n_src
-    # backward rows: p_back[j](z) -> targets[j], weight 1/n_tgt
-    a_fwd = e.reshape(bases.k, -1).T / np.sqrt(n_src)  # (3n, K)
-    r_fwd = (targets[fwd] - op.p0).ravel() / np.sqrt(n_src)
-    e_back = e[:, back, :].reshape(bases.k, -1).T / np.sqrt(n_tgt)
-    r_back = (targets - op.p0[back]).ravel() / np.sqrt(n_tgt)
-    a = np.vstack([a_fwd, e_back])
-    r = np.concatenate([r_fwd, r_back])
-    z, *_ = np.linalg.lstsq(a, r, rcond=None)
-    return z
+    One tree over the points and one query in each direction give the value
+    ``chamfer_distance(points, targets)`` and, from the same queries, the
+    nearest-target index per point and the nearest-point index per target.
+    """
+    d_fwd, fwd = target_tree.query(points)
+    d_back, back = cKDTree(points).query(target_tree.data)
+    return float(np.mean(d_fwd**2) + np.mean(d_back**2)), (fwd, back)
 
 
 def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarray,
@@ -148,20 +135,41 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
 
     Alternates nearest-neighbour correspondence freezing with the closed-form
     least squares on the matched objective; only improving steps are kept, so
-    the recorded CD history is non-increasing.
+    the recorded CD history is non-increasing. ``correspondences`` are the
+    matches whose least squares produced the returned z (the matches at z0
+    when no step improved).
+
+    The target tree, the per-basis sample offsets and the forward rows of the
+    least-squares system depend only on the fixed bases and targets, so they
+    are built once per fit. Each round builds one tree over the candidate
+    points; its two queries give both the candidate's Chamfer value and the
+    matches the next round solves with.
     """
     targets = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
+    if len(targets) == 0:
+        raise ValueError("chamfer distance of an empty point set")
+    target_tree = cKDTree(targets)
+    n_src, n_tgt = op.p0.shape[0], targets.shape[0]
+    # rows (i, axis) of the matched system, one column per basis (e is n×3×K):
+    # forward rows p_i(z) -> targets[fwd[i]] with weight 1/n_src,
+    # backward rows p_back[j](z) -> targets[j] with weight 1/n_tgt
+    e = np.ascontiguousarray(op.basis_point_offsets(bases).transpose(1, 2, 0))
+    a = np.empty((3 * (n_src + n_tgt), bases.k))
+    a[:3 * n_src] = e.reshape(-1, bases.k) / np.sqrt(n_src)
+    a_back = a[3 * n_src:]
+
     z = np.zeros(bases.k) if z0 is None else np.array(z0, dtype=np.float64)
-    pts = op.points(bases, z)
-    best_cd = chamfer_distance(pts, targets)
-    best_z = z
-    best_corr = _match(pts, targets)
+    best_cd, matches = _chamfer_and_match(op.points(bases, z), target_tree)
+    best_z, best_corr = z, matches
     history = [best_cd]
     converged = False
     for _ in range(max_rounds):
-        fwd, back = _match(op.points(bases, best_z), targets)
-        z_new = _solve_matched(op, bases, targets, fwd, back)
-        cd_new = chamfer_distance(op.points(bases, z_new), targets)
+        fwd, back = matches
+        a_back[:] = e[back].reshape(-1, bases.k) / np.sqrt(n_tgt)
+        r = np.concatenate([(targets[fwd] - op.p0).ravel() / np.sqrt(n_src),
+                            (targets - op.p0[back]).ravel() / np.sqrt(n_tgt)])
+        z_new, *_ = np.linalg.lstsq(a, r, rcond=None)
+        cd_new, matches = _chamfer_and_match(op.points(bases, z_new), target_tree)
         if cd_new < best_cd:
             improvement = best_cd - cd_new
             best_cd, best_z, best_corr = cd_new, z_new, (fwd, back)
@@ -334,13 +342,13 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
                 break
         b_new = _solve_bases_matched(ops, target_pts, coeffs, corrs, k, n_t)
         # keep the closed-form step only if the regularized objective agrees
-        loss_old, _ = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
-        loss_new, _ = basis_objective_and_grad(b_new, ops, target_pts, coeffs, corrs, cfg)
-        if loss_new <= loss_old:
-            b = b_new
+        obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
+        obj_new, grad_new = basis_objective_and_grad(b_new, ops, target_pts, coeffs,
+                                                     corrs, cfg)
+        if obj_new <= obj:
+            b, obj, grad = b_new, obj_new, grad_new
         # gradient descent on the full regularized objective
         lr = cfg.reg_lr
-        obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
         grad = grad + extra
         for _ in range(cfg.reg_steps):
             b_try = b - lr * grad

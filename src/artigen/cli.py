@@ -121,8 +121,10 @@ def main(argv=None) -> int:
         report = pipeline.cmd_sample(args.model, args.reference, out, cfg,
                                      n=args.n, seed=args.seed,
                                      z_zero=args.z_zero)
-        print(f"wrote {report['n']} samples to {out}; "
-              f"mean APD {report['mean_apd_before']:.3e} -> "
+        failed = sum(s["file"] is None for s in report["samples"])
+        print(f"wrote {report['n'] - failed} samples to {out}"
+              + (f" ({failed} failed, see samples_report.json)" if failed else "")
+              + f"; mean APD {report['mean_apd_before']:.3e} -> "
               f"{report['mean_apd_after']:.3e}")
 
     elif args.command == "simulate":

@@ -468,16 +468,28 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
     samples = []
     for i in range(n):
         if i < len(zs):
-            z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
-            mesh = merge_meshes([p.mesh_at(z) for p in dobj.parts])
+            # a draw that degenerates a face or yields a non-finite gradient
+            # fails alone; the report records it and the run goes on
+            try:
+                z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
+                mesh = merge_meshes([p.mesh_at(z) for p in dobj.parts])
+                error = None
+            except (ValueError, FloatingPointError) as exc:
+                z, error = zs[i], f"{type(exc).__name__}: {exc}"
+        if error is not None:
+            samples.append({"file": None, "z": z.tolist(), "error": error})
+            continue
         path = out_dir / f"sample_{i:03d}.obj"
         save_obj(mesh, path)
         samples.append({"file": path.name, "z": z.tolist(),
                         "apd_before": before.l_phy, "apd_after": after.l_phy})
+    done = [s for s in samples if s["file"] is not None]
+    if not done:
+        raise PipelineError(f"all {n} samples failed; first: {samples[0]['error']}")
     report = {
         "n": n, "seed": seed, "z_zero": z_zero,
-        "mean_apd_before": float(np.mean([s["apd_before"] for s in samples])),
-        "mean_apd_after": float(np.mean([s["apd_after"] for s in samples])),
+        "mean_apd_before": float(np.mean([s["apd_before"] for s in done])),
+        "mean_apd_after": float(np.mean([s["apd_after"] for s in done])),
         "samples": samples,
     }
     (out_dir / "samples_report.json").write_text(json.dumps(report, indent=2))

@@ -101,15 +101,18 @@ def optimize_sync_matrix(z_stack: np.ndarray, y_stack: np.ndarray) -> np.ndarray
     return um @ np.diag(sm) @ vmt @ vt.T @ np.diag(_pinv_sigma(s)) @ u.T
 
 
-def optimize_global_coeff(s_matrices: list[np.ndarray], y_i: np.ndarray) -> np.ndarray:
-    """Average of the per-convex minimum-norm solutions of S_m z = y_m^i.
+def optimize_global_coeff(s_matrices: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Per target i, the mean over convexes of the min-norm solution of S_m z = y_m^i.
 
-    ``y_i`` is (M, K): the coefficient of each convex for one target mesh.
+    ``y`` is (M, |A|, K): the coefficient of each convex for each target mesh.
+    Returns the (|A|, K) global coefficients; each S matrix is pseudo-inverted
+    once for all targets.
     """
-    y_i = np.asarray(y_i, dtype=np.float64)
-    if len(s_matrices) != y_i.shape[0] or len(s_matrices) == 0:
+    y = np.asarray(y, dtype=np.float64)
+    if len(s_matrices) != y.shape[0] or len(s_matrices) == 0:
         raise ValueError("one S matrix per convex required")
-    sols = [svd_pinv(s) @ y for s, y in zip(s_matrices, y_i)]
+    sols = np.array([[pinv @ y_mi for y_mi in y_m]
+                     for pinv, y_m in zip(map(svd_pinv, s_matrices), y)])
     return np.mean(sols, axis=0)
 
 
@@ -123,15 +126,14 @@ def synchronize(bases: list[BasisSet], y: np.ndarray, iters: int = 100) -> SyncS
     alternation and is recorded, not asserted).
     """
     y = np.asarray(y, dtype=np.float64)
-    m_count, n_targets, k = y.shape
+    m_count, _, k = y.shape
     z = y.mean(axis=0)  # (|A|, K)
     # initial objective measured at identity transformations
     history = [sync_objective(bases, [np.eye(k)] * m_count, z, y)]
     s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
     history.append(sync_objective(bases, s_matrices, z, y))
     for _ in range(iters):
-        z = np.array([optimize_global_coeff(s_matrices, y[:, i, :])
-                      for i in range(n_targets)])
+        z = optimize_global_coeff(s_matrices, y)
         s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
         history.append(sync_objective(bases, s_matrices, z, y))
     return SyncState(s_matrices=s_matrices, global_coeffs=z,

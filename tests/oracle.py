@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from artigen.basis import BasisSet
+from scipy.spatial import cKDTree
+
+from artigen.basis import BasisSet, CoeffFit, DeformOperator, chamfer_distance
 from artigen.cage import Cage
 from artigen.mesh import Joint, TriMesh, merge_meshes
 from artigen.physics import (
@@ -23,6 +25,7 @@ from artigen.physics import (
     face_normals,
     single_simulation,
 )
+from artigen.sync import optimize_sync_matrix, svd_pinv, sync_objective
 
 _NORM_EPS = 1e-12
 
@@ -152,6 +155,65 @@ def lsq_coefficient(bases: BasisSet, cage_offsets: np.ndarray) -> np.ndarray:
     return z
 
 
+def _match(points: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-target index per point, nearest-point index per target."""
+    _, fwd = cKDTree(targets).query(points)
+    _, back = cKDTree(points).query(targets)
+    return fwd, back
+
+
+def _solve_matched(op: DeformOperator, bases: BasisSet, targets: np.ndarray,
+                   fwd: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Closed-form z for the fixed-correspondence point-matching objective."""
+    e = op.basis_point_offsets(bases)  # (K, n, 3)
+    n_src = op.p0.shape[0]
+    n_tgt = targets.shape[0]
+    a_fwd = e.reshape(bases.k, -1).T / np.sqrt(n_src)  # (3n, K)
+    r_fwd = (targets[fwd] - op.p0).ravel() / np.sqrt(n_src)
+    e_back = e[:, back, :].reshape(bases.k, -1).T / np.sqrt(n_tgt)
+    r_back = (targets - op.p0[back]).ravel() / np.sqrt(n_tgt)
+    a = np.vstack([a_fwd, e_back])
+    r = np.concatenate([r_fwd, r_back])
+    z, *_ = np.linalg.lstsq(a, r, rcond=None)
+    return z
+
+
+def fit_coefficient_rebuilding(bases: BasisSet, op: DeformOperator,
+                               target_points: np.ndarray, tol: float = 1e-8,
+                               max_rounds: int = 50,
+                               z0: np.ndarray | None = None) -> CoeffFit:
+    """``basis.fit_coefficient`` rebuilding everything every round.
+
+    Each round recomputes the per-basis sample offsets and the whole
+    least-squares system, matches the points at the best z with two fresh
+    KD-trees, and measures the candidate with ``chamfer_distance``.
+    """
+    targets = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
+    z = np.zeros(bases.k) if z0 is None else np.array(z0, dtype=np.float64)
+    pts = op.points(bases, z)
+    best_cd = chamfer_distance(pts, targets)
+    best_z = z
+    best_corr = _match(pts, targets)
+    history = [best_cd]
+    converged = False
+    for _ in range(max_rounds):
+        fwd, back = _match(op.points(bases, best_z), targets)
+        z_new = _solve_matched(op, bases, targets, fwd, back)
+        cd_new = chamfer_distance(op.points(bases, z_new), targets)
+        if cd_new < best_cd:
+            improvement = best_cd - cd_new
+            best_cd, best_z, best_corr = cd_new, z_new, (fwd, back)
+            history.append(best_cd)
+            if improvement < tol:
+                converged = True
+                break
+        else:
+            converged = True
+            break
+    return CoeffFit(z=best_z, cd=best_cd, converged=converged,
+                    cd_history=history, correspondences=best_corr)
+
+
 def orthogonality(bases: BasisSet) -> np.ndarray:
     """Pairwise |normalized dot products| of a basis set."""
     flat = bases.bases.reshape(bases.k, -1)
@@ -159,6 +221,32 @@ def orthogonality(bases: BasisSet) -> np.ndarray:
     g = flat @ flat.T / (np.outer(norms, norms) + _NORM_EPS)
     np.fill_diagonal(g, 0.0)
     return np.abs(g)
+
+
+# ---------------------------------------------------------------------------
+# Synchronization
+
+
+def synchronize_per_target(bases: list[BasisSet], y: np.ndarray,
+                           iters: int = 100):
+    """``sync.synchronize`` taking the pseudo-inverses target by target.
+
+    Returns ``(s_matrices, global_coeffs, objective_history)``. Every global
+    coefficient update runs ``svd_pinv`` on all M S matrices once per target.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    m_count, n_targets, k = y.shape
+    z = y.mean(axis=0)
+    history = [sync_objective(bases, [np.eye(k)] * m_count, z, y)]
+    s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
+    history.append(sync_objective(bases, s_matrices, z, y))
+    for _ in range(iters):
+        z = np.array([np.mean([svd_pinv(s) @ y_m
+                               for s, y_m in zip(s_matrices, y[:, i, :])], axis=0)
+                      for i in range(n_targets)])
+        s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
+        history.append(sync_objective(bases, s_matrices, z, y))
+    return s_matrices, z, history
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from artigen.basis import (
 from artigen.cage import Cage, build_cage, weight_matrix
 from artigen.mesh import TriMesh
 from fixtures import grid_box
-from oracle import lsq_coefficient, orthogonality
+from oracle import fit_coefficient_rebuilding, lsq_coefficient, orthogonality
 
 OCTA = TriMesh(
     np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
@@ -74,6 +74,48 @@ def test_fit_coefficient_monotone(rng):
     # accepted steps only: history never increases
     assert all(b <= a + 1e-15 for a, b in zip(fit.cd_history, fit.cd_history[1:]))
     assert fit.cd < 1e-10
+
+
+def _coefficient_case(name, rng):
+    """(bases, op, targets, z0) for one oracle case."""
+    if name in ("octa_exact", "octa_noisy"):
+        cage, src = small_cage()
+        bases = BasisSet(rng.normal(scale=0.2, size=(3, 6, 3)))
+        op = DeformOperator(cage, src, 128, seed=0)
+        target = op.points(bases, np.array([0.5, -0.8, 0.2]))
+        if name == "octa_noisy":
+            target = target + rng.normal(scale=0.05, size=target.shape)
+        return bases, op, target, None
+    box = grid_box(3)
+    cage = build_cage(box)
+    k = 2 if name == "box_two_bases" else 16
+    bases = BasisSet(rng.normal(scale=0.08 if k == 2 else 0.03, size=(k, 42, 3)))
+    op = DeformOperator(cage, box, 512, seed=0)
+    # the targets are another sample of a deformed box, so no z matches exactly
+    target = DeformOperator(cage, box, 512, seed=1).points(bases, rng.normal(size=k))
+    return bases, op, target, 0.5 * rng.normal(size=k) if name == "desk_z0" else None
+
+
+@pytest.mark.parametrize("name", ["octa_exact", "octa_noisy", "box_two_bases",
+                                  "desk", "desk_z0"])
+def test_fit_coefficient_matches_rebuilding_oracle(rng, name):
+    # a fit cut short at 1 or 3 rounds ends on an accepted step whose matches
+    # differ from the matches at its result, so correspondences are checked
+    # to be the ones that produced z
+    bases, op, target, z0 = _coefficient_case(name, rng)
+    for max_rounds in (1, 3, 50):
+        got = fit_coefficient(bases, op, target, max_rounds=max_rounds, z0=z0)
+        want = fit_coefficient_rebuilding(bases, op, target, max_rounds=max_rounds,
+                                          z0=z0)
+        assert np.array_equal(got.z, want.z)
+        assert got.cd == want.cd
+        assert got.cd_history == want.cd_history
+        assert got.converged == want.converged
+        for a, b in zip(got.correspondences, want.correspondences, strict=True):
+            assert np.array_equal(a, b)
+    if name == "desk":
+        short = fit_coefficient(bases, op, target, max_rounds=3)
+        assert len(short.cd_history) == 4 and not short.converged
 
 
 def test_synthesize_and_recover_two_bases(rng):

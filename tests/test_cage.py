@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from artigen.cage import (
     Cage,
@@ -83,6 +86,35 @@ def test_mvc_partition_of_unity_and_linear_precision():
         w = weight_matrix(pts, cage)
         assert np.abs(w.sum(axis=1) - 1).max() < 1e-6
         assert np.abs(w @ cage.vertices - pts).max() < 1e-6
+
+
+def _hull_cage(points: np.ndarray) -> TriMesh:
+    """Convex hull of the points as a closed mesh with outward-facing faces."""
+    hull = ConvexHull(points)
+    faces = hull.simplices.copy()
+    tri = points[faces]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    inward = np.einsum("fa,fa->f", normal, hull.equations[:, :3]) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    used, faces = np.unique(faces, return_inverse=True)
+    return TriMesh(points[used], faces.reshape(-1, 3))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(6, 40),
+       scale=st.tuples(*[st.floats(0.05, 20.0)] * 3))
+def test_mvc_properties_in_random_convex_cages(seed, n_points, scale):
+    rng = np.random.default_rng(seed)
+    cage = _hull_cage(rng.normal(size=(n_points, 3)) * np.array(scale))
+    # strictly interior: convex combinations of the cage vertices pulled a
+    # little towards their centroid
+    mix = rng.dirichlet(np.ones(cage.n_vertices), size=20)
+    centre = cage.vertices.mean(axis=0)
+    pts = centre + 0.95 * (mix @ cage.vertices - centre)
+    w = weight_matrix(pts, cage)
+    assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-10
+    size = np.ptp(cage.vertices, axis=0).max()
+    assert np.abs(w @ cage.vertices - pts).max() < 1e-9 * size
 
 
 def test_mvc_tetra_centroid():

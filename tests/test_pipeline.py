@@ -207,6 +207,45 @@ def test_sample_z_zero_corrects_once(finetuned, workdir, tmp_path, monkeypatch):
     assert len(objs) == 3 and objs[1:] == [objs[0], objs[0]]
 
 
+def test_sample_isolates_failed_draws(finetuned, workdir, tmp_path, monkeypatch):
+    import artigen.pipeline as pipeline
+
+    model, model_path = finetuned
+    root, _ = workdir
+    ref_path = root / "data" / "glasses_01" / "object.json"
+    full = cmd_sample(model_path, ref_path, tmp_path / "full", tiny_config(), n=3, seed=7)
+    original, calls = pipeline.correct_shape, []
+
+    def second_draw_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("degenerate face 3: zero area")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "correct_shape", second_draw_fails)
+    rep = cmd_sample(model_path, ref_path, tmp_path / "part", tiny_config(), n=3, seed=7)
+    drawn = sample_gmm(model.gmm, seed=7, n=3)
+    assert rep["samples"][1] == {"file": None, "z": drawn[1].tolist(),
+                                 "error": "ValueError: degenerate face 3: zero area"}
+    assert not (tmp_path / "part" / "sample_001.obj").exists()
+    for i in (0, 2):
+        assert rep["samples"][i] == full["samples"][i]
+        name = full["samples"][i]["file"]
+        assert ((tmp_path / "part" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes())
+    for key in ("apd_before", "apd_after"):
+        assert rep[f"mean_{key}"] == float(np.mean(
+            [full["samples"][i][key] for i in (0, 2)]))
+    assert json.loads((tmp_path / "part" / "samples_report.json").read_text()) == rep
+
+    def always_fails(*args, **kwargs):
+        raise FloatingPointError("non-finite projection gradient")
+
+    monkeypatch.setattr(pipeline, "correct_shape", always_fails)
+    with pytest.raises(PipelineError, match="all 3 samples failed"):
+        cmd_sample(model_path, ref_path, tmp_path / "none", tiny_config(), n=3, seed=7)
+
+
 def test_sample_one(finetuned, workdir, tmp_path):
     model, model_path = finetuned
     root, _ = workdir

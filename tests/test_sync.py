@@ -11,6 +11,7 @@ from artigen.sync import (
     synced_bases,
     synchronize,
 )
+from oracle import synchronize_per_target
 
 
 def _exact_model(rng, m, k, n_targets):
@@ -79,9 +80,26 @@ def test_coefficient_update_residual_orthogonality(rng):
         residual = s @ z_hat - y
         # least-squares residual is orthogonal to the column space
         assert np.abs(s.T @ residual).max() < 1e-8
-    z = optimize_global_coeff(s_list, y_i)
+    z = optimize_global_coeff(s_list, y_i[:, None, :])[0]
     expect = np.mean([np.linalg.pinv(s) @ y for s, y in zip(s_list, y_i)], axis=0)
     np.testing.assert_allclose(z, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["exact", "noisy", "rank_deficient"])
+def test_synchronize_matches_per_target_oracle(rng, case):
+    if case == "rank_deficient":
+        # fewer targets than dimensions, as in a 5-shot fit with K = 16
+        bases, y, _, _ = _exact_model(rng, 4, 16, 5)
+    else:
+        bases, y, _, _ = _exact_model(rng, 3, 4, 6)
+    if case != "exact":
+        y = y + rng.normal(scale=0.1, size=y.shape)
+    state = synchronize(bases, y, iters=15)
+    s_matrices, z, history = synchronize_per_target(bases, y, iters=15)
+    for a, b in zip(state.s_matrices, s_matrices, strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(state.global_coeffs, z)
+    assert state.objective_history == history
 
 
 def test_zero_iters_still_defined(rng):
