@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import pipeline
+from . import __version__, pipeline
 from .pipeline import PipelineConfig, apply_overrides, desk_profile
 
 
@@ -43,15 +45,21 @@ def _build_config(args) -> PipelineConfig:
     return cfg
 
 
-def _write_provenance(run_dir, args, cfg: PipelineConfig) -> None:
-    """Record the command's arguments and the full resolved config."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    rec = {
+def _provenance(args, cfg: PipelineConfig) -> dict:
+    """The command's arguments, the full resolved config and library versions."""
+    return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "args": vars(args),
         "config": asdict(cfg),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "artigen": __version__},
+        "status": "running",
     }
+
+
+def _write_run(run_dir, rec: dict) -> None:
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "run.json").write_text(json.dumps(rec, indent=2))
 
 
@@ -103,11 +111,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``OUT/run.json`` is written before it and again after."""
     args = build_parser().parse_args(argv)
     cfg = _build_config(args)
     out = Path(args.out)
-    _write_provenance(out, args, cfg)
+    rec = _provenance(args, cfg)
+    _write_run(out, rec)
+    start = time.perf_counter()
+    try:
+        _run_command(args, cfg, out)
+    except BaseException as e:
+        rec.update(status="error", error=f"{type(e).__name__}: {e}")
+        raise
+    else:
+        rec["status"] = "ok"
+    finally:
+        rec["wall_s"] = time.perf_counter() - start
+        _write_run(out, rec)
+    return 0
 
+
+def _run_command(args, cfg: PipelineConfig, out: Path) -> None:
     if args.command == "pretrain":
         model = pipeline.cmd_pretrain(args.dataset, out / "model.json", cfg)
         print(f"pretrained {len(model.convexes)} convex bases -> {out/'model.json'}")
@@ -146,7 +170,6 @@ def main(argv=None) -> int:
         (out / "correct.json").write_text(json.dumps(result, indent=2))
         print(f"L_phy {result['before']['l_phy']:.6e} -> "
               f"{result['after']['l_phy']:.6e}")
-    return 0
 
 
 if __name__ == "__main__":

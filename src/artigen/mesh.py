@@ -173,36 +173,39 @@ def load_obj(path) -> TriMesh:
     path = Path(path)
     verts: list[list[float]] = []
     faces: list[list[int]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            tag = tokens[0]
-            if tag == "v":
-                if len(tokens) < 4:
-                    raise MeshError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    verts.append([float(t) for t in tokens[1:4]])
-                except ValueError as e:
-                    raise MeshError(f"{path}:{lineno}: {e}") from e
-            elif tag == "f":
-                idx = []
-                for tok in tokens[1:]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                tokens = line.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                tag = tokens[0]
+                if tag == "v":
+                    if len(tokens) < 4:
+                        raise MeshError(f"{path}:{lineno}: vertex needs 3 coordinates")
                     try:
-                        i = int(tok.split("/")[0])
+                        verts.append([float(t) for t in tokens[1:4]])
                     except ValueError as e:
-                        raise MeshError(f"{path}:{lineno}: bad face index {tok!r}") from e
-                    if i < 0:
-                        i = len(verts) + 1 + i
-                    idx.append(i - 1)
-                if len(idx) < 3:
-                    raise MeshError(f"{path}:{lineno}: face needs >= 3 vertices")
-                for k in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
-                bad = [i for i in idx if i < 0 or i >= len(verts)]
-                if bad:
-                    raise MeshError(f"{path}:{lineno}: face index out of range: {bad[0] + 1}")
+                        raise MeshError(f"{path}:{lineno}: {e}") from e
+                elif tag == "f":
+                    idx = []
+                    for tok in tokens[1:]:
+                        try:
+                            i = int(tok.split("/")[0])
+                        except ValueError as e:
+                            raise MeshError(f"{path}:{lineno}: bad face index {tok!r}") from e
+                        if i < 0:
+                            i = len(verts) + 1 + i
+                        idx.append(i - 1)
+                    if len(idx) < 3:
+                        raise MeshError(f"{path}:{lineno}: face needs >= 3 vertices")
+                    for k in range(1, len(idx) - 1):
+                        faces.append([idx[0], idx[k], idx[k + 1]])
+                    bad = [i for i in idx if i < 0 or i >= len(verts)]
+                    if bad:
+                        raise MeshError(f"{path}:{lineno}: face index out of range: {bad[0] + 1}")
+    except UnicodeDecodeError as e:
+        raise MeshError(f"{path}: not a UTF-8 text file: {e}") from e
     try:
         return TriMesh(np.array(verts, dtype=np.float64).reshape(-1, 3), np.array(faces))
     except MeshError as e:
@@ -225,6 +228,8 @@ def save_obj(mesh: TriMesh, path) -> None:
 
 
 def _parse_joint(rec: dict) -> Joint:
+    if not isinstance(rec, dict):
+        raise ManifestError(f"joint must be a JSON object, got {rec!r}")
     kind = str(rec.get("kind", FIXED)).lower()
     if kind == FIXED:
         return Joint(FIXED)
@@ -238,22 +243,40 @@ def _parse_joint(rec: dict) -> Joint:
                  range=rec.get("range", [0.0, 0.0]))
 
 
+def _ref_states(val) -> tuple[float, ...]:
+    numbers = isinstance(val, list) and all(
+        isinstance(s, (int, float)) and not isinstance(s, bool) for s in val)
+    if not numbers:
+        raise ManifestError(f"ref_states must be a list of numbers, got {val!r}")
+    return tuple(val)
+
+
 def load_manifest(path) -> ArticulatedObject:
     """Load an articulated-object manifest (JSON) and its referenced OBJ files."""
     path = Path(path)
     try:
-        spec = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        spec = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(spec, dict):
+        raise ManifestError(f"{path}: top level must be a JSON object, got {spec!r}")
+    recs = spec.get("parts", [])
+    if not isinstance(recs, list):
+        raise ManifestError(f"{path}: 'parts' must be a list, got {recs!r}")
     base = path.parent
     parts = []
-    for rec in spec.get("parts", []):
+    for i, rec in enumerate(recs):
+        if not isinstance(rec, dict):
+            raise ManifestError(f"{path}: part {i} must be a JSON object, got {rec!r}")
         name = rec.get("name")
-        if not name:
-            raise ManifestError(f"{path}: part without a name")
+        if not name or not isinstance(name, str):
+            raise ManifestError(f"{path}: part {i} needs a name string, got {name!r}")
         objs = rec.get("convex_objs", [])
         if not objs:
             raise ManifestError(f"{path}: part {name!r} lists no convex OBJ files")
+        if not isinstance(objs, list) or not all(isinstance(o, str) for o in objs):
+            raise ManifestError(f"{path}: part {name!r}: convex_objs must be a list "
+                                f"of file names, got {objs!r}")
         convexes = []
         for rel in objs:
             p = (base / rel).resolve()
@@ -263,7 +286,7 @@ def load_manifest(path) -> ArticulatedObject:
         try:
             parts.append(Part(name=name, convexes=tuple(convexes),
                               joint=_parse_joint(rec.get("joint", {})),
-                              ref_states=tuple(rec.get("ref_states", []))))
+                              ref_states=_ref_states(rec.get("ref_states", []))))
         except ManifestError as e:
             raise ManifestError(f"{path}: part {name!r}: {e}") from e
     if not parts:

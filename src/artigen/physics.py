@@ -17,6 +17,9 @@ from .mesh import (
 )
 
 _BARY_TOL = 1e-9
+# bytes of float64 plane depths the collision sweep holds at once (one block
+# of steps)
+_SWEEP_BYTES = 2 << 20
 
 
 @dataclass
@@ -84,9 +87,9 @@ def _face_frames(ref: TriMesh):
     return a, e1, e2, d11, d12, d22, den
 
 
-def _in_faces_sparse(pts: np.ndarray, ref: TriMesh, fidx: np.ndarray) -> np.ndarray:
-    """In-face test for paired (point, face index) rows."""
-    a, e1, e2, d11, d12, d22, den = _face_frames(ref)
+def _in_faces_sparse(pts: np.ndarray, frames, fidx: np.ndarray) -> np.ndarray:
+    """In-face test for paired (point, face index) rows, given ``_face_frames``."""
+    a, e1, e2, d11, d12, d22, den = frames
     w = pts - a[fidx]
     w1 = np.einsum("na,na->n", w, e1[fidx])
     w2 = np.einsum("na,na->n", w, e2[fidx])
@@ -110,6 +113,60 @@ def _step_transforms(joint: Joint, n_steps: int):
                 + (1 - c)[:, None, None] * np.outer(k, k))
         trans = joint.pivot - np.einsum("tab,b->ta", rots, joint.pivot)
     return rots, trans
+
+
+def _sweep_crossings(v_all: np.ndarray, ref: TriMesh, normals: np.ndarray):
+    """Counted crossings ``(t, v, f)`` of a stepped sweep and their depths.
+
+    A vertex crosses a face between steps ``t`` and ``t + 1`` when its signed
+    plane depth changes sign and its step-``t + 1`` position projects inside
+    the face; the depth returned is the one at step ``t + 1``. Steps are swept
+    in blocks whose float64 depths fit ``_SWEEP_BYTES``, each block comparing
+    its first step with the signs carried over from the previous one, and the
+    in-face test runs on slices of a block's sign flips that fit a quarter of
+    the budget. The triples come out in (t, v, f) C-order, as one dense pass
+    would give them.
+    """
+    nv, nf = v_all.shape[1], len(normals)
+    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
+    frames = _face_frames(ref)
+    n_block = min(max(1, _SWEEP_BYTES // (nv * nf * 8)), len(v_all) - 1)
+    # the in-face test keeps about 128 bytes alive per flip it tests
+    n_slice = max(1, _SWEEP_BYTES // (4 * 128))
+    # one set of block buffers serves every block; row 0 of ``s8`` carries
+    # the signs of the step before the block
+    d_buf = np.empty((n_block, nv, nf))
+    pos = np.empty(d_buf.shape, dtype=bool)
+    neg = np.empty(d_buf.shape, dtype=bool)
+    s8 = np.empty((n_block + 1, nv, nf), dtype=np.int8)
+
+    def signs(lo, hi, row):
+        k = hi - lo
+        d = d_buf[:k]
+        np.matmul(v_all[lo:hi].reshape(-1, 3), normals.T, out=d.reshape(-1, nf))
+        d -= plane_d
+        np.greater(d, 0, out=pos[:k])
+        np.less(d, 0, out=neg[:k])
+        np.subtract(pos[:k].view(np.int8), neg[:k].view(np.int8),
+                    out=s8[row:row + k])
+        return d
+
+    signs(0, 1, 0)
+    no_idx = np.zeros(0, dtype=np.intp)
+    found = [(no_idx, no_idx, no_idx, np.zeros(0))]
+    for lo in range(1, len(v_all), n_block):
+        hi = min(lo + n_block, len(v_all))
+        k = hi - lo
+        d = signs(lo, hi, 1)
+        flips = np.not_equal(s8[1:k + 1], s8[:k], out=pos[:k])
+        s8[0] = s8[k]
+        flat = np.flatnonzero(flips)
+        for at in range(0, flat.size, n_slice):
+            j, vi, fi = np.unravel_index(flat[at:at + n_slice], d.shape)
+            inside = _in_faces_sparse(v_all[lo + j, vi], frames, fi)
+            j, vi, fi = j[inside], vi[inside], fi[inside]
+            found.append((j + (lo - 1), vi, fi, d[j, vi, fi]))
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 @dataclass
@@ -143,6 +200,11 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     identical references: the totals and gradients weight its crossings by
     that count, as if the reference held every copy. Without it the whole
     reference is one group of count 1.
+
+    Memory is bounded by ``_SWEEP_BYTES``, not by the sweep's size: steps
+    are swept in blocks whose (steps, nv, nf) float64 depths fit the budget.
+    A block holds at least one step, so where one step's nv * nf depths
+    exceed the budget, the peak is one step's worth instead.
     """
     counts = (np.ones(1, dtype=np.intp) if group_counts is None
               else np.asarray(group_counts))
@@ -168,26 +230,16 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     # v^0 is the rest pose, not the lower-range pose
     v_all = mov.vertices @ rots[1:].transpose(0, 2, 1) + trans[1:, None, :]
     v_all = np.concatenate([mov.vertices[None], v_all], axis=0)  # (N_s+1, nv, 3)
-    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
     nv, nf = mov.n_vertices, ref.n_faces
     gsize = nf // n_groups
     n_total = int(counts.sum())
-    d_all = (v_all.reshape(-1, 3) @ normals.T).reshape(len(v_all), nv, nf)
-    d_all -= plane_d
     # the loss is normalized by the face count of the reference with every copy
     scale = 1.0 / (n_steps * nv * (gsize * n_total))
 
-    # sign flips are sparse; evaluate the in-face test only at flip triples
-    s8 = (d_all > 0).view(np.int8) - (d_all < 0).view(np.int8)
-    ti, vi, fi = np.nonzero(s8[1:] != s8[:-1])
-    del s8
-    if ti.size:
-        inside = _in_faces_sparse(v_all[ti + 1, vi], ref, fi)
-        ti, vi, fi = ti[inside], vi[inside], fi[inside]
+    ti, vi, fi, d = _sweep_crossings(v_all, ref, normals)
     if ti.size == 0:
         return zero
 
-    d = d_all[ti + 1, vi, fi]
     s = np.sign(d)
     gi = fi // gsize
     w = counts[gi].astype(np.float64)

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from artigen.mesh import TriMesh, save_obj
 
@@ -55,6 +56,18 @@ def grid_box(n=3, scale=(1, 1, 1), center=(0, 0, 0)) -> TriMesh:
                         faces += [[c00, c11, c10], [c00, c01, c11]]
     v = (np.array(verts) - 0.5) * np.asarray(scale, dtype=np.float64)
     return TriMesh(v + np.asarray(center, dtype=np.float64), np.array(faces))
+
+
+def hull_mesh(points: np.ndarray) -> TriMesh:
+    """Convex hull of the points as a closed mesh with outward-facing faces."""
+    hull = ConvexHull(points)
+    faces = hull.simplices.copy()
+    tri = points[faces]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    inward = np.einsum("fa,fa->f", normal, hull.equations[:, :3]) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    used, faces = np.unique(faces, return_inverse=True)
+    return TriMesh(points[used], faces.reshape(-1, 3))
 
 
 def hinge_wall_rod():

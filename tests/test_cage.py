@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
 
 from artigen.cage import (
     Cage,
@@ -13,7 +12,7 @@ from artigen.cage import (
     weight_matrix,
 )
 from artigen.mesh import TriMesh
-from fixtures import grid_box, simple_box
+from fixtures import grid_box, hull_mesh, simple_box
 from oracle import apply_cage_deform
 
 
@@ -88,24 +87,12 @@ def test_mvc_partition_of_unity_and_linear_precision():
         assert np.abs(w @ cage.vertices - pts).max() < 1e-6
 
 
-def _hull_cage(points: np.ndarray) -> TriMesh:
-    """Convex hull of the points as a closed mesh with outward-facing faces."""
-    hull = ConvexHull(points)
-    faces = hull.simplices.copy()
-    tri = points[faces]
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    inward = np.einsum("fa,fa->f", normal, hull.equations[:, :3]) < 0
-    faces[inward] = faces[inward][:, [0, 2, 1]]
-    used, faces = np.unique(faces, return_inverse=True)
-    return TriMesh(points[used], faces.reshape(-1, 3))
-
-
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(6, 40),
        scale=st.tuples(*[st.floats(0.05, 20.0)] * 3))
 def test_mvc_properties_in_random_convex_cages(seed, n_points, scale):
     rng = np.random.default_rng(seed)
-    cage = _hull_cage(rng.normal(size=(n_points, 3)) * np.array(scale))
+    cage = hull_mesh(rng.normal(size=(n_points, 3)) * np.array(scale))
     # strictly interior: convex combinations of the cage vertices pulled a
     # little towards their centroid
     mix = rng.dirichlet(np.ones(cage.n_vertices), size=20)

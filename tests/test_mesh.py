@@ -182,6 +182,58 @@ def test_load_manifest_missing_file(tmp_path):
         load_manifest(path)
 
 
+_ARM = {"name": "arm", "convex_objs": ["b.obj"], "joint": {"kind": "fixed"}}
+
+
+@pytest.mark.parametrize("spec, what", [
+    ([], "top level must be a JSON object"),
+    ("x", "top level must be a JSON object"),
+    ({"parts": "abc"}, "'parts' must be a list"),
+    ({"parts": ["abc"]}, "part 0 must be a JSON object"),
+    ({"parts": [{**_ARM, "name": 7}]}, "part 0 needs a name string"),
+    ({"parts": [{**_ARM, "joint": "fixed"}]}, "part 'arm': joint must be a JSON object"),
+    ({"parts": [{**_ARM, "convex_objs": "b.obj"}]},
+     "part 'arm': convex_objs must be a list of file names"),
+    ({"parts": [{**_ARM, "convex_objs": [3]}]},
+     "part 'arm': convex_objs must be a list of file names"),
+    ({"parts": [{**_ARM, "ref_states": "ab"}]},
+     "part 'arm': ref_states must be a list of numbers"),
+    ({"parts": [{**_ARM, "ref_states": [0.0, "1"]}]},
+     "part 'arm': ref_states must be a list of numbers"),
+    (b"\xff\xfe{}", "invalid JSON"),
+], ids=["list", "string", "parts_string", "part_string", "name_number",
+        "joint_string", "objs_string", "objs_numbers", "states_string",
+        "states_mixed", "not_utf8"])
+def test_load_manifest_rejects_wrong_types(tmp_path, spec, what):
+    save_obj(simple_box(), tmp_path / "b.obj")
+    path = tmp_path / "obj.json"
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(json.dumps(spec))
+    with pytest.raises(ManifestError, match=f"obj.json: {what}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("content, what", [
+    (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 \xe9\n", "not a UTF-8 text file"),
+    (b"\x00\x9f\x92\x96 binary", "not a UTF-8 text file"),
+    (b"v 0 0\n", ":1: vertex needs 3 coordinates"),
+    (b"v 0 0 x\n", ":1: could not convert"),
+    (b"v 0 0 0\nv 1 0 0\nf 1 2\n", ":3: face needs >= 3 vertices"),
+    (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3.5\n", ":4: bad face index"),
+    (b"v 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "non-finite vertex"),
+    (b"v 0 0 0\nv 1 0 0\nf 1 2 2\n", "degenerate face"),
+], ids=["latin1_byte", "binary", "short_vertex", "bad_coordinate", "short_face",
+        "float_index", "nan", "degenerate"])
+def test_load_obj_rejects_hostile_input(tmp_path, content, what):
+    path = tmp_path / "bad.obj"
+    path.write_bytes(content)
+    with pytest.raises(MeshError, match=f"bad.obj{what}" if what[0] == ":"
+                       else f"bad.obj: .*{what}"):
+        load_obj(path)
+
+
 def test_sample_surface_deterministic_and_on_surface():
     m = simple_box()
     p1 = sample_surface(m, 256, seed=3)

@@ -342,6 +342,40 @@ def test_cli_simulate_smoke(workdir, tmp_path, capsys):
     assert _build_config(args).lambda_phy == 0.5
 
 
+def test_cli_run_json_records_outcome(workdir, tmp_path):
+    import platform
+
+    import scipy
+
+    from artigen import __version__
+    from artigen.cli import main
+    from artigen.mesh import ManifestError
+
+    root, _ = workdir
+    manifest = root / "data" / "glasses_00" / "object.json"
+    assert main(["--profile", "desk", "simulate", str(manifest),
+                 str(tmp_path / "ok")]) == 0
+    ok = json.loads((tmp_path / "ok" / "run.json").read_text())
+    assert ok["status"] == "ok" and "error" not in ok
+    assert ok["versions"] == {"python": platform.python_version(),
+                              "numpy": np.__version__, "scipy": scipy.__version__,
+                              "artigen": __version__}
+    assert ok["wall_s"] > 0
+    assert ok["args"]["manifest"] == str(manifest)
+    assert apply_overrides(PipelineConfig(), ok["config"]) == desk_profile()
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"parts": "abc"}))
+    with pytest.raises(ManifestError, match="'parts' must be a list"):
+        main(["--profile", "desk", "simulate", str(bad), str(tmp_path / "err")])
+    err = json.loads((tmp_path / "err" / "run.json").read_text())
+    assert err["status"] == "error"
+    assert err["error"].startswith("ManifestError: ")
+    assert "'parts' must be a list" in err["error"]
+    assert err["versions"] == ok["versions"] and err["wall_s"] >= 0
+    assert err.keys() >= {"timestamp", "args", "config"}
+
+
 def test_cli_config_file_jobs_and_seed(tmp_path):
     from artigen.cli import _build_config, build_parser
 
