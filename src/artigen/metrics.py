@@ -10,12 +10,20 @@ from scipy.spatial import cKDTree
 from .basis import chamfer_distance
 
 
-def _trees(clouds: list[np.ndarray]) -> list[cKDTree]:
-    return [cKDTree(np.asarray(c, dtype=np.float64).reshape(-1, 3)) for c in clouds]
+def _trees(clouds: list[np.ndarray | cKDTree]) -> list[cKDTree]:
+    """A KD-tree per cloud; clouds passed as trees are kept as they are."""
+    return [c if isinstance(c, cKDTree)
+            else cKDTree(np.asarray(c, dtype=np.float64).reshape(-1, 3))
+            for c in clouds]
 
 
-def pairwise_chamfer(gen: list[np.ndarray], ref: list[np.ndarray]) -> np.ndarray:
-    """Matrix D[i, j] = CD(gen[i], ref[j]), squared symmetric Chamfer."""
+def pairwise_chamfer(gen: list[np.ndarray | cKDTree],
+                     ref: list[np.ndarray | cKDTree]) -> np.ndarray:
+    """Matrix D[i, j] = CD(gen[i], ref[j]), squared symmetric Chamfer.
+
+    Clouds may be passed as KD-trees built on them, as ``evaluate`` does so
+    that ``one_nna`` reuses the same trees.
+    """
     ref_trees = _trees(ref)
     d = np.empty((len(gen), len(ref)))
     for i, g in enumerate(_trees(gen)):
@@ -24,7 +32,7 @@ def pairwise_chamfer(gen: list[np.ndarray], ref: list[np.ndarray]) -> np.ndarray
     return d
 
 
-def _self_chamfer(clouds: list[np.ndarray]) -> np.ndarray:
+def _self_chamfer(clouds: list[np.ndarray | cKDTree]) -> np.ndarray:
     """``pairwise_chamfer(clouds, clouds)`` from its upper triangle.
 
     Symmetric Chamfer adds the same two means in either order, so the mirror
@@ -58,12 +66,13 @@ def cov(gen: list[np.ndarray], ref: list[np.ndarray],
     return float(matched.size / len(ref))
 
 
-def one_nna(gen: list[np.ndarray], ref: list[np.ndarray],
+def one_nna(gen: list[np.ndarray | cKDTree], ref: list[np.ndarray | cKDTree],
             d: np.ndarray | None = None) -> float:
     """Leave-one-out 1-NN two-sample accuracy over the pooled set.
 
     Ties are broken toward the lowest pooled index (generations first).
-    0.5 means the two sets are indistinguishable to the classifier.
+    0.5 means the two sets are indistinguishable to the classifier. Clouds
+    may be passed as KD-trees built on them.
     """
     if not gen or not ref:
         raise ValueError("one_nna needs non-empty sets")
@@ -143,8 +152,12 @@ class EvalResult:
 
 def evaluate(gen: list[np.ndarray], ref: list[np.ndarray],
              apd_value: float | None = None, resolution: int = 28) -> EvalResult:
-    d = pairwise_chamfer(gen, ref)
+    # JSD first, so its voxel temporaries are gone before the trees are built
+    div = jsd(gen, ref, resolution)
+    # one KD-tree per cloud serves both the gen x ref block and 1-NNA
+    gen_trees, ref_trees = _trees(gen), _trees(ref)
+    d = pairwise_chamfer(gen_trees, ref_trees)
     return EvalResult(
-        mmd=mmd(gen, ref, d), cov=cov(gen, ref, d), one_nna=one_nna(gen, ref, d),
-        jsd=jsd(gen, ref, resolution), apd=apd_value,
+        mmd=mmd(gen, ref, d), cov=cov(gen, ref, d),
+        one_nna=one_nna(gen_trees, ref_trees, d), jsd=div, apd=apd_value,
     )

@@ -17,9 +17,10 @@ from .mesh import (
 )
 
 _BARY_TOL = 1e-9
-# bytes of float64 plane depths the collision sweep holds at once (one block
-# of steps)
+# bytes the collision sweep's blocks of steps x vertex-face pairs hold at once
 _SWEEP_BYTES = 2 << 20
+# relative rounding slack of the sweep's broadphase (see ``_sweep_crossings``)
+_ROUND_SLACK = 2.0 ** -40
 
 
 @dataclass
@@ -115,58 +116,183 @@ def _step_transforms(joint: Joint, n_steps: int):
     return rots, trans
 
 
+def _swept_vertices(vertices: np.ndarray, joint: Joint, n_steps: int):
+    """Step rotations and the (N_s+1, nv, 3) positions: rest pose, steps 1..N_s."""
+    rots, trans = _step_transforms(joint, n_steps)
+    # v^0 is the rest pose, not the lower-range pose
+    v_all = vertices @ rots[1:].transpose(0, 2, 1) + trans[1:, None, :]
+    return rots, np.concatenate([vertices[None], v_all], axis=0)
+
+
+def _face_boxes(ref: TriMesh, frames, scale: float):
+    """Per-face AABB corners grown by the in-face tolerance and rounding.
+
+    ``scale`` bounds every coordinate of the sweep. See ``_sweep_crossings``.
+    """
+    _, _, _, d11, d12, d22, _ = frames
+    a, b, c = (ref.vertices[ref.faces[:, i]] for i in range(3))
+    # conditioning of the barycentric solve; degenerate faces are never culled
+    gram = d11 * d22
+    det = gram - d12 * d12
+    kappa = np.divide(gram, det, out=np.full(len(det), np.inf), where=det > 0)
+    grow = (4 * _BARY_TOL * (np.sqrt(d11) + np.sqrt(d22))
+            + _ROUND_SLACK * kappa * scale)[:, None]
+    return (np.minimum(np.minimum(a, b), c) - grow,
+            np.maximum(np.maximum(a, b), c) + grow)
+
+
+def _candidate_pairs(vlo, vhi, flo, fhi, cap: int):
+    """``(v, f)`` index arrays of the vertex and face boxes that meet.
+
+    Faces that miss the box around every vertex box are dropped first. The
+    pair test runs on blocks of vertex rows of about ``cap`` cells, and the
+    pairs come out in (v, f) order, in batches of ``cap`` to ``2 * cap``
+    pairs (fewer in the last, more where one vertex has more candidates).
+    """
+    keep = np.flatnonzero((flo <= vhi.max(axis=0)).all(axis=1)
+                          & (fhi >= vlo.min(axis=0)).all(axis=1))
+    if keep.size == 0:
+        return
+    flo, fhi = flo[keep].T.copy(), fhi[keep].T.copy()       # (3, faces kept)
+    rows = max(1, cap // keep.size)
+    hit = np.empty((rows, keep.size), dtype=bool)
+    cmp = np.empty_like(hit)
+    pend, n = [], 0
+    for r0 in range(0, len(vlo), rows):
+        r1 = min(r0 + rows, len(vlo))
+        h, c = hit[:r1 - r0], cmp[:r1 - r0]
+        np.less_equal(vlo[r0:r1, 0, None], fhi[0], out=h)
+        h &= np.greater_equal(vhi[r0:r1, 0, None], flo[0], out=c)
+        for a in (1, 2):
+            h &= np.less_equal(vlo[r0:r1, a, None], fhi[a], out=c)
+            h &= np.greater_equal(vhi[r0:r1, a, None], flo[a], out=c)
+        vi, fj = np.nonzero(h)
+        pend.append((vi + r0, keep[fj]))
+        n += vi.size
+        if n >= cap or (n and r1 == len(vlo)):
+            # rebinding drops this block's own index arrays while the batch
+            # is swept
+            vi, fj = (np.concatenate(col) for col in zip(*pend))
+            pend, n = [], 0
+            yield vi, fj
+
+
 def _sweep_crossings(v_all: np.ndarray, ref: TriMesh, normals: np.ndarray):
     """Counted crossings ``(t, v, f)`` of a stepped sweep and their depths.
 
     A vertex crosses a face between steps ``t`` and ``t + 1`` when its signed
-    plane depth changes sign and its step-``t + 1`` position projects inside
-    the face; the depth returned is the one at step ``t + 1``. Steps are swept
-    in blocks whose float64 depths fit ``_SWEEP_BYTES``, each block comparing
-    its first step with the signs carried over from the previous one, and the
-    in-face test runs on slices of a block's sign flips that fit a quarter of
-    the budget. The triples come out in (t, v, f) C-order, as one dense pass
-    would give them.
+    plane depth ``x*nx + y*ny + z*nz - plane_d`` changes sign and its
+    step-``t + 1`` position projects inside the face; the depth returned is
+    the one at step ``t + 1``. The triples come out in (t, v, f) order.
+
+    Only vertex-face pairs whose boxes meet are swept (a broadphase, after
+    Ericson, *Real-Time Collision Detection*, ch. 4 and 6), and the cull
+    drops no crossing. Where the sign flips, ``|d_{t+1}| <= |d_{t+1} - d_t|
+    <= |p_{t+1} - p_t|`` for a unit normal, and the in-face test accepts
+    barycentric coordinates down to ``-_BARY_TOL``, which keeps the
+    projection within ``2 * _BARY_TOL * (|e1| + |e2|)`` of the triangle. So
+    ``p_{t+1}`` lies in the face's AABB grown by the step length plus that
+    tolerance; the faces are grown by twice the tolerance. Rounding in the
+    depths and in the barycentric solve moves a position by less than a
+    hundred ulps of ``kappa * scale``, where ``kappa = |e1|^2 |e2|^2 /
+    |e1 x e2|^2`` is the face's conditioning and ``scale`` bounds every
+    coordinate; ``_ROUND_SLACK`` adds 4096 ulps of it, and a face whose
+    solve is singular is never culled.
+
+    Transition 0 jumps from the rest pose to the first state of the range,
+    often far longer than the later steps, so it has its own candidates:
+    the step-1 position grown by that jump. Transitions 1..N_s-1 use the box
+    around steps 2..N_s grown by the vertex's longest later step.
+
+    Memory is bounded by ``_SWEEP_BYTES``: the pair test runs on blocks of
+    vertex rows, pairs are swept in batches of at most ``_SWEEP_BYTES / 64``
+    pairs (or one vertex's pairs), and each batch sweeps blocks of
+    consecutive steps whose float64 depths and gather scratch together fit
+    half the budget, carrying the sign row from block to block. The in-face
+    test runs on slices of a block's sign flips that fit a quarter of the
+    budget.
     """
-    nv, nf = v_all.shape[1], len(normals)
+    n_steps = len(v_all) - 1
     plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
     frames = _face_frames(ref)
-    n_block = min(max(1, _SWEEP_BYTES // (nv * nf * 8)), len(v_all) - 1)
+    scale = max(np.abs(v_all).max(), np.abs(ref.vertices).max())
+    flo, fhi = _face_boxes(ref, frames, scale)
+    step = np.linalg.norm(np.diff(v_all, axis=0), axis=2)          # (N_s, nv)
+    # (first transition, end, vertex box corners) of each candidate set
+    reach0 = step[0][:, None]
+    sets = [(0, 1, v_all[1] - reach0, v_all[1] + reach0)]
+    if n_steps > 1:
+        reach = step[1:].max(axis=0)[:, None]
+        sets.append((1, n_steps, v_all[2:].min(axis=0) - reach,
+                     v_all[2:].max(axis=0) + reach))
+
+    # float64 depths plus gather scratch fill half the budget
+    cells = max(1, _SWEEP_BYTES // 32)
+    # a batch keeps 48 bytes per pair (indices, normal and plane offset) and
+    # holds up to 2 * cap pairs
+    cap = max(1, _SWEEP_BYTES // 128)
     # the in-face test keeps about 128 bytes alive per flip it tests
     n_slice = max(1, _SWEEP_BYTES // (4 * 128))
-    # one set of block buffers serves every block; row 0 of ``s8`` carries
-    # the signs of the step before the block
-    d_buf = np.empty((n_block, nv, nf))
+    coords = np.ascontiguousarray(v_all.transpose(2, 0, 1))   # (3, N_s+1, nv)
+    no_idx = np.zeros(0, dtype=np.intp)
+    found = [(no_idx, no_idx, no_idx, np.zeros(0))]
+    for first, end, vlo, vhi in sets:
+        for vi, fi in _candidate_pairs(vlo, vhi, flo, fhi, cap):
+            found += _sweep_pairs(coords, v_all, first, end, vi, fi, normals[fi],
+                                  plane_d[fi], frames, cells, n_slice)
+    ti, vi, fi, d = (np.concatenate(col) for col in zip(*found))
+    # batches are in (v, f) order, each in (t, v, f) order within itself
+    order = np.argsort(ti, kind="stable")
+    return ti[order], vi[order], fi[order], d[order]
+
+
+def _sweep_pairs(coords, v_all, first, end, vi, fi, nrm, pd, frames, cells,
+                 n_slice):
+    """Crossings of the pairs ``(vi, fi)`` at transitions ``first..end-1``.
+
+    ``nrm`` and ``pd`` are the pairs' face normals and plane offsets; the
+    other arguments are as in ``_sweep_crossings``.
+    """
+    n_pairs = len(vi)
+    n_block = min(max(1, cells // n_pairs), end - first)
+    d_buf = np.empty((n_block, n_pairs))
+    g_buf = np.empty_like(d_buf)
     pos = np.empty(d_buf.shape, dtype=bool)
     neg = np.empty(d_buf.shape, dtype=bool)
-    s8 = np.empty((n_block + 1, nv, nf), dtype=np.int8)
+    # row 0 carries the signs of the step before the block
+    s8 = np.empty((n_block + 1, n_pairs), dtype=np.int8)
 
     def signs(lo, hi, row):
         k = hi - lo
-        d = d_buf[:k]
-        np.matmul(v_all[lo:hi].reshape(-1, 3), normals.T, out=d.reshape(-1, nf))
-        d -= plane_d
+        d, g = d_buf[:k], g_buf[:k]
+        np.take(coords[0, lo:hi], vi, axis=1, out=d, mode="clip")
+        d *= nrm[:, 0]
+        for a in (1, 2):
+            np.take(coords[a, lo:hi], vi, axis=1, out=g, mode="clip")
+            g *= nrm[:, a]
+            d += g
+        d -= pd
         np.greater(d, 0, out=pos[:k])
         np.less(d, 0, out=neg[:k])
         np.subtract(pos[:k].view(np.int8), neg[:k].view(np.int8),
                     out=s8[row:row + k])
         return d
 
-    signs(0, 1, 0)
-    no_idx = np.zeros(0, dtype=np.intp)
-    found = [(no_idx, no_idx, no_idx, np.zeros(0))]
-    for lo in range(1, len(v_all), n_block):
-        hi = min(lo + n_block, len(v_all))
+    signs(first, first + 1, 0)
+    found = []
+    for lo in range(first + 1, end + 1, n_block):
+        hi = min(lo + n_block, end + 1)
         k = hi - lo
         d = signs(lo, hi, 1)
         flips = np.not_equal(s8[1:k + 1], s8[:k], out=pos[:k])
         s8[0] = s8[k]
         flat = np.flatnonzero(flips)
         for at in range(0, flat.size, n_slice):
-            j, vi, fi = np.unravel_index(flat[at:at + n_slice], d.shape)
-            inside = _in_faces_sparse(v_all[lo + j, vi], frames, fi)
-            j, vi, fi = j[inside], vi[inside], fi[inside]
-            found.append((j + (lo - 1), vi, fi, d[j, vi, fi]))
-    return tuple(np.concatenate(col) for col in zip(*found))
+            j, p = np.divmod(flat[at:at + n_slice], n_pairs)
+            inside = _in_faces_sparse(v_all[lo + j, vi[p]], frames, fi[p])
+            j, p = j[inside], p[inside]
+            found.append((j + (lo - 1), vi[p], fi[p], d[j, p]))
+    return found
 
 
 @dataclass
@@ -201,10 +327,20 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     that count, as if the reference held every copy. Without it the whole
     reference is one group of count 1.
 
-    Memory is bounded by ``_SWEEP_BYTES``, not by the sweep's size: steps
-    are swept in blocks whose (steps, nv, nf) float64 depths fit the budget.
-    A block holds at least one step, so where one step's nv * nf depths
-    exceed the budget, the peak is one step's worth instead.
+    Only vertex-face pairs that can cross are swept. A pair is kept when
+    the box around the vertex's swept positions, grown by its step length,
+    meets the face's bounding box, grown by the in-face tolerance and a
+    rounding margin. A vertex whose sign flips is at most one step from the
+    face's plane, so the cull drops no crossing (``_sweep_crossings`` gives
+    the bound). The jump from the rest pose to the first state has its own
+    candidate pairs, grown by that jump alone.
+
+    Memory is bounded by ``_SWEEP_BYTES``, not by N_s * nv * nf: the pair
+    test runs on blocks of vertex rows, the kept pairs are swept in
+    batches, and each batch sweeps blocks of steps whose float64 depths and
+    gather scratch fit half the budget. A batch holds at least one vertex's
+    pairs, so only a vertex with more candidate faces than the budget holds
+    sets a larger peak.
     """
     counts = (np.ones(1, dtype=np.intp) if group_counts is None
               else np.asarray(group_counts))
@@ -226,10 +362,7 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         raise ValueError("non-finite mover or reference vertices")
 
     normals = face_normals(ref)
-    rots, trans = _step_transforms(joint, n_steps)
-    # v^0 is the rest pose, not the lower-range pose
-    v_all = mov.vertices @ rots[1:].transpose(0, 2, 1) + trans[1:, None, :]
-    v_all = np.concatenate([mov.vertices[None], v_all], axis=0)  # (N_s+1, nv, 3)
+    rots, v_all = _swept_vertices(mov.vertices, joint, n_steps)
     nv, nf = mov.n_vertices, ref.n_faces
     gsize = nf // n_groups
     n_total = int(counts.sum())

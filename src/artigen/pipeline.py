@@ -100,11 +100,20 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """A dataset manifest is a JSON list of object manifests."""
     path = Path(path)
-    rec = json.loads(path.read_text())
-    if "objects" not in rec or not rec["objects"]:
+    try:
+        rec = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise PipelineError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(rec, dict):
+        raise PipelineError(f"{path}: top level must be a JSON object, got {rec!r}")
+    entries = rec.get("objects")
+    if not entries:
         raise PipelineError(f"{path}: dataset manifest lists no objects")
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise PipelineError(f"{path}: 'objects' must be a list of manifest file "
+                            f"names, got {entries!r}")
     objs, names = [], []
-    for entry in rec["objects"]:
+    for entry in entries:
         p = path.parent / entry
         objs.append(load_manifest(p))
         names.append(str(entry))

@@ -1,6 +1,7 @@
-"""Print a sha256 for every file a fixed CLI sequence writes.
+"""Print a sha256 for every file a fixed CLI sequence writes, or compare two runs.
 
 Usage: python tests/digest_outputs.py SRC_ROOT OUT
+       python tests/digest_outputs.py --compare OUT_A OUT_B
 
 Imports ``artigen`` from ``SRC_ROOT/src`` (a checkout of this repository),
 writes the 5-shot fixture eyeglasses dataset to ``OUT/data`` and runs, with
@@ -9,12 +10,18 @@ finetune ``--pretrained``, sample ``-n 4``, sample ``--z-zero``, simulate,
 correct and eval. It then prints ``<sha256>  <path>`` for every output under
 ``OUT`` except ``run.json`` (which holds a timestamp). Run it on two checkouts
 and diff the listings to see which outputs a change moved.
+
+``--compare`` takes the ``OUT`` trees of two such runs. For every output that
+differs it prints the path and, for JSON and OBJ files, the largest relative
+difference between matching numbers, ``|a - b| / max(|a|, |b|)``; files whose
+numbers do not pair up, or that exist on one side only, are named as such.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -24,9 +31,71 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 
+def _outputs(out: Path) -> dict[str, Path]:
+    """Every output under ``out`` but the input data and ``run.json``."""
+    return {str(p.relative_to(out)): p for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run.json"
+            and p.relative_to(out).parts[0] != "data"}
+
+
+def _numbers(path: Path) -> tuple[list, list[float]]:
+    """A file's non-numeric skeleton and its numbers, in order."""
+    if path.suffix == ".json":
+        skeleton, numbers = [], []
+
+        def walk(node):
+            if isinstance(node, dict):
+                skeleton.append(sorted(node))
+                for key in sorted(node):
+                    walk(node[key])
+            elif isinstance(node, list):
+                skeleton.append(len(node))
+                for item in node:
+                    walk(item)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                numbers.append(float(node))
+            else:
+                skeleton.append(node)
+
+        walk(json.loads(path.read_text()))
+        return skeleton, numbers
+    # OBJ: the first token of each line is its kind, the rest are numbers
+    rows = [line.split() for line in path.read_text().splitlines()]
+    return ([(r[0], len(r)) for r in rows if r],
+            [float(tok.split("/")[0]) for r in rows if r for tok in r[1:]])
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print every differing output and its largest relative number difference."""
+    a, b = _outputs(out_a), _outputs(out_b)
+    n_diff = 0
+    for rel in sorted(a.keys() | b.keys()):
+        if rel not in a or rel not in b:
+            print(f"{rel}  only in {out_a if rel in a else out_b}")
+            n_diff += 1
+            continue
+        if a[rel].read_bytes() == b[rel].read_bytes():
+            continue
+        n_diff += 1
+        if a[rel].suffix not in (".json", ".obj"):
+            print(f"{rel}  differs")
+            continue
+        (skel_a, num_a), (skel_b, num_b) = _numbers(a[rel]), _numbers(b[rel])
+        if skel_a != skel_b or len(num_a) != len(num_b):
+            print(f"{rel}  differs in structure")
+            continue
+        rel_diff = max((abs(x - y) / max(abs(x), abs(y))
+                        for x, y in zip(num_a, num_b) if x != y), default=0.0)
+        print(f"{rel}  max relative difference {rel_diff:.3g}")
+    print(f"{n_diff} of {len(a.keys() | b.keys())} outputs differ")
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     src_root, out = (Path(a).resolve() for a in argv)
     sys.path[:0] = [str(src_root / "src"), str(Path(__file__).resolve().parent)]
@@ -55,10 +124,8 @@ def main(argv: list[str]) -> int:
     with contextlib.redirect_stdout(sys.stderr):      # keep stdout to digests
         for run in runs:
             cli(["--profile", "desk", "--seed", "0", *map(str, run)])
-    for path in sorted(out.rglob("*")):
-        rel = path.relative_to(out)
-        if path.is_file() and path.name != "run.json" and rel.parts[0] != "data":
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
+    for rel, path in _outputs(out).items():
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {rel}")
     return 0
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from scipy.spatial import cKDTree
 
+from artigen import physics
 from artigen.basis import BasisSet, CoeffFit, DeformOperator, chamfer_distance
 from artigen.cage import Cage
 from artigen.mesh import Joint, TriMesh, merge_meshes
@@ -20,6 +21,7 @@ from artigen.physics import (
     SimConfig,
     _articulated_ref_mesh,
     _face_frames,
+    _in_faces_sparse,
     _sample_ref_states,
     _step_transforms,
     face_normals,
@@ -60,6 +62,53 @@ def _in_faces_batch(pts: np.ndarray, ref: TriMesh) -> np.ndarray:
     u = (d22 * w1 - d12 * w2) / den
     v = (d11 * w2 - d12 * w1) / den
     return (u >= -_BARY_TOL) & (v >= -_BARY_TOL) & (u + v <= 1.0 + _BARY_TOL)
+
+
+def dense_sweep_crossings(v_all: np.ndarray, ref: TriMesh, normals: np.ndarray):
+    """``physics._sweep_crossings`` without the broadphase.
+
+    Computes every vertex's depth against every face plane at every step, in
+    blocks of steps whose float64 depths fit ``physics._SWEEP_BYTES``, with
+    the depths taken by a matrix product. Returns the ``(t, v, f)`` triples
+    in (t, v, f) order and their step-``t + 1`` depths.
+    """
+    nv, nf = v_all.shape[1], len(normals)
+    plane_d = np.einsum("fa,fa->f", ref.vertices[ref.faces[:, 0]], normals)
+    frames = _face_frames(ref)
+    n_block = min(max(1, physics._SWEEP_BYTES // (nv * nf * 8)), len(v_all) - 1)
+    n_slice = max(1, physics._SWEEP_BYTES // (4 * 128))
+    d_buf = np.empty((n_block, nv, nf))
+    pos = np.empty(d_buf.shape, dtype=bool)
+    neg = np.empty(d_buf.shape, dtype=bool)
+    s8 = np.empty((n_block + 1, nv, nf), dtype=np.int8)
+
+    def signs(lo, hi, row):
+        k = hi - lo
+        d = d_buf[:k]
+        np.matmul(v_all[lo:hi].reshape(-1, 3), normals.T, out=d.reshape(-1, nf))
+        d -= plane_d
+        np.greater(d, 0, out=pos[:k])
+        np.less(d, 0, out=neg[:k])
+        np.subtract(pos[:k].view(np.int8), neg[:k].view(np.int8),
+                    out=s8[row:row + k])
+        return d
+
+    signs(0, 1, 0)
+    no_idx = np.zeros(0, dtype=np.intp)
+    found = [(no_idx, no_idx, no_idx, np.zeros(0))]
+    for lo in range(1, len(v_all), n_block):
+        hi = min(lo + n_block, len(v_all))
+        k = hi - lo
+        d = signs(lo, hi, 1)
+        flips = np.not_equal(s8[1:k + 1], s8[:k], out=pos[:k])
+        s8[0] = s8[k]
+        flat = np.flatnonzero(flips)
+        for at in range(0, flat.size, n_slice):
+            j, vi, fi = np.unravel_index(flat[at:at + n_slice], d.shape)
+            inside = _in_faces_sparse(v_all[lo + j, vi], frames, fi)
+            j, vi, fi = j[inside], vi[inside], fi[inside]
+            found.append((j + (lo - 1), vi, fi, d[j, vi, fi]))
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def frozen_proj_loss(v_rest: np.ndarray, ref: TriMesh, joint: Joint,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from artigen import metrics
 from artigen.basis import chamfer_distance
 from artigen.metrics import (
     EvalResult,
@@ -146,3 +148,21 @@ def test_evaluate_bundle(rng):
     assert res.mmd == pytest.approx(brute_mmd(gen, ref), rel=1e-12)
     assert res.apd == 0.01
     assert set(res.to_dict()) == {"mmd", "cov", "one_nna", "jsd", "apd"}
+
+
+def test_evaluate_builds_one_tree_per_cloud(rng, monkeypatch):
+    gen, ref = _clouds(rng, 5), _clouds(rng, 4, shift=0.3)
+    built = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            built.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+    res = evaluate(gen, ref)
+    assert len(built) == len(gen) + len(ref)
+    monkeypatch.undo()
+    # the shared trees give the same numbers as clouds passed one metric at a time
+    assert (res.mmd, res.cov, res.one_nna) == (mmd(gen, ref), cov(gen, ref),
+                                               one_nna(gen, ref))

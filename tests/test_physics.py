@@ -30,6 +30,7 @@ from artigen.physics import (
 )
 from fixtures import grid_box, hinge_wall_rod, hull_mesh, simple_box, write_eyeglasses
 from oracle import (
+    dense_sweep_crossings,
     frozen_proj_loss,
     rigid_part,
     run_losses_every_detection,
@@ -479,3 +480,88 @@ def test_sweep_memory_stays_within_budget():
     # test: the peak is held to 2.5x the block budget (measured: 1.8x; 3.0x
     # when the in-face test runs on all of a block's flips at once)
     assert peak < 2.5 * budget
+
+
+# ---------------------------------------------------------------------------
+# Broadphase: the culled sweep must find exactly the dense sweep's crossings
+
+
+def _oracle_case(kind, rng):
+    """A reference, a mover that reaches it, and the joint's axis and pivot."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    pivot = rng.uniform(-0.5, 0.5, size=3)
+    mov = hull_mesh(0.3 * rng.normal(size=(int(rng.integers(5, 10)), 3))
+                    + rng.uniform(-0.6, 0.6, size=3))
+    if kind == "hull":
+        ref = hull_mesh(rng.normal(size=(int(rng.integers(5, 14)), 3)))
+    elif kind == "skinny":
+        # a thin plate or needle, turned at random: its faces are slivers
+        # whose barycentric solve is ill-conditioned
+        thin = 10.0 ** -rng.uniform(1.0, 4.0, size=2)
+        if rng.random() < 0.7:
+            thin[0] = 1.5
+        plate = grid_box(int(rng.integers(1, 4)), (1.5, thin[0], thin[1]))
+        turn = rotation_about_axis(axis, float(rng.uniform(0.0, np.pi)))
+        ref = TriMesh(plate.vertices @ turn.T, plate.faces)
+    else:
+        # grid boxes whose faces touch, at dyadic sizes and offsets and with a
+        # joint along a coordinate axis: depths of exactly 0 stay exact, so
+        # signs change from and to 0; a nudge of a few 1e-10 puts vertices
+        # just outside a face but within the in-face tolerance of some
+        ref = grid_box(int(rng.integers(1, 4)))
+        size = rng.integers(1, 8, size=3) / 8
+        center = np.array([0.5 + size[0] / 2, *rng.integers(-3, 4, size=2) / 8])
+        center[1:] += rng.choice([0.0, 4e-10, -4e-10], size=2)
+        mov = grid_box(int(rng.integers(1, 4)), size, center)
+        axis = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        pivot = np.array([0.5, *rng.integers(-3, 4, size=2) / 8])
+    return mov, ref, axis, pivot
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["hull", "skinny", "contact"]),
+       prismatic=st.booleans(), rest_outside=st.booleans(),
+       n_steps=st.integers(1, 24),
+       budget=st.sampled_from([256, 4 << 10, 64 << 10, 2 << 20]))
+def test_sweep_matches_dense_oracle(seed, kind, prismatic, rest_outside, n_steps,
+                                   budget):
+    rng = np.random.default_rng(seed)
+    mov, ref, axis, pivot = _oracle_case(kind, rng)
+    # a range that starts far from the rest pose makes transition 0 a jump
+    lo = float(rng.uniform(1.0, 3.0) if rest_outside else rng.uniform(-1.0, 0.0))
+    joint = Joint("prismatic" if prismatic else "revolute", axis=axis,
+                  pivot=pivot, range=(lo, lo + float(rng.uniform(0.3, 2.5))))
+    _, v_all = physics._swept_vertices(mov.vertices, joint, n_steps)
+    normals = face_normals(ref)
+    want = dense_sweep_crossings(v_all, ref, normals)
+    # small budgets split the pair test, the pair batches, the step blocks
+    # and the in-face slices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(physics, "_SWEEP_BYTES", budget)
+        got = physics._sweep_crossings(v_all, ref, normals)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.abs(got[3] - want[3]).max(initial=0.0) <= (
+        1e-12 * np.abs(want[3]).max(initial=0.0))
+
+
+def test_sweep_keeps_crossings_within_the_in_face_tolerance():
+    # the mover's -x face lies in the plane of the reference's +x face, with
+    # its near edge 4e-10 beyond that face's edge, inside the in-face
+    # tolerance; turning about an axis 1e-9 from that edge moves its vertices
+    # by about 1e-10 a step, less than the gap, so only the cull's tolerance
+    # margin keeps their crossings
+    ref = simple_box((1.0, 1.0, 1.0))
+    mov = simple_box((0.25, 0.25, 0.25), (0.625, 0.625 + 4e-10, 0.0))
+    joint = Joint("revolute", axis=np.array([0.0, 0.0, 1.0]),
+                  pivot=np.array([0.5, 0.5 - 6e-10, 0.0]), range=(0.1, 0.5))
+    _, v_all = physics._swept_vertices(mov.vertices, joint, 8)
+    normals = face_normals(ref)
+    got = physics._sweep_crossings(v_all, ref, normals)
+    want = dense_sweep_crossings(v_all, ref, normals)
+    near_edge = np.flatnonzero(mov.vertices[:, 1] < 0.5 + 1e-9)
+    assert np.isin(want[1], near_edge).any()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

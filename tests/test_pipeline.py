@@ -90,6 +90,25 @@ def test_dataset_missing_objects_key(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("content, what", [
+    (b"[]", "top level must be a JSON object"),
+    (b'"objects"', "top level must be a JSON object"),
+    (b'{"objects": []}', "dataset manifest lists no objects"),
+    (b'{"objects": "abc"}', "'objects' must be a list of manifest file names"),
+    (b'{"objects": {"a": "b.json"}}', "'objects' must be a list of manifest"),
+    (b'{"objects": [3]}', "'objects' must be a list of manifest file names"),
+    (b'{"objects": ["a.json", null]}', "'objects' must be a list of manifest"),
+    (b"\xff\xfe{}", "invalid JSON"),
+    (b'{"objects": [', "invalid JSON"),
+], ids=["list", "string", "empty", "objects_string", "objects_dict",
+        "entry_number", "entry_null", "not_utf8", "truncated"])
+def test_load_dataset_rejects_wrong_types(tmp_path, content, what):
+    path = tmp_path / "dataset.json"
+    path.write_bytes(content)
+    with pytest.raises(PipelineError, match=f"dataset.json: {what}"):
+        load_dataset(path)
+
+
 def test_pretrain_writes_model_and_losses_decrease(pretrained):
     model, path = pretrained
     assert path.exists()
