@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -10,11 +11,20 @@ from scipy.optimize import linear_sum_assignment
 
 from .mesh import TriMesh
 
-_EPS = 1e-10
+_TOL = 1e-12
+# bytes of mean value coordinate temporaries one block of points may hold
+_MVC_BYTES = 2 << 20
+# those temporaries per point and cage face at their peak: 37 float64 (23 KiB
+# per point on the 80-face template)
+_MVC_FACE_BYTES = 37 * 8
 
 
+@functools.cache
 def cage_template() -> TriMesh:
-    """Unit icosphere with 42 vertices and 80 faces (once-subdivided icosahedron)."""
+    """Unit icosphere with 42 vertices and 80 faces (once-subdivided icosahedron).
+
+    Built once per process; every call returns the same read-only mesh.
+    """
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -68,68 +78,98 @@ class Cage:
 # Mean value coordinates (closed triangle mesh construction of Ju et al.)
 
 
-def mean_value_coordinates(p, cage_mesh: TriMesh, tol: float = 1e-12) -> np.ndarray:
+def mean_value_coordinates(p, cage_mesh: TriMesh) -> np.ndarray:
     """Weights w with sum(w)=1 and sum(w_j v_j)=p for p inside cage_mesh.
 
     Coincidence with a cage vertex yields the indicator vector; a point on a
     face falls back to the 2D barycentric weights of that face.
     """
-    p = np.asarray(p, dtype=np.float64).reshape(3)
-    V = cage_mesh.vertices
-    F = cage_mesh.faces
-    diff = V - p
-    d = np.linalg.norm(diff, axis=1)
-    hit = np.nonzero(d < tol)[0]
-    if hit.size:
-        w = np.zeros(len(V))
-        w[hit[0]] = 1.0
-        return w
-    u = diff / d[:, None]
-
-    tu = u[F]  # (m, 3, 3) unit directions per face corner
-    td = d[F]
-    # edge lengths on the unit sphere, opposite corner i
-    l = np.linalg.norm(tu[:, [1, 2, 0]] - tu[:, [2, 0, 1]], axis=2)
-    theta = 2.0 * np.arcsin(np.clip(l / 2.0, 0.0, 1.0))
-    h = theta.sum(axis=1) / 2.0
-
-    onface = np.pi - h < 1e-8
-    if onface.any():
-        fi = int(np.nonzero(onface)[0][0])
-        wf = np.sin(theta[fi]) * td[fi][[2, 0, 1]] * td[fi][[1, 2, 0]]
-        w = np.zeros(len(V))
-        w[F[fi]] = wf / wf.sum()
-        return w
-
-    sin_t = np.sin(theta)
-    c = (2.0 * np.sin(h)[:, None] * np.sin(h[:, None] - theta)) / (
-        sin_t[:, [1, 2, 0]] * sin_t[:, [2, 0, 1]]
-    ) - 1.0
-    det = np.linalg.det(tu)
-    s = np.sign(det)[:, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    # faces whose plane contains p but p projects outside them contribute 0
-    valid = (np.abs(s) > tol).all(axis=1)
-
-    wf = np.zeros_like(theta)
-    if valid.any():
-        cv, sv, tv, dv = c[valid], s[valid], theta[valid], td[valid]
-        wf_v = (tv - cv[:, [1, 2, 0]] * tv[:, [2, 0, 1]] - cv[:, [2, 0, 1]] * tv[:, [1, 2, 0]]) / (
-            dv * np.sin(tv[:, [1, 2, 0]]) * sv[:, [2, 0, 1]]
-        )
-        wf[valid] = wf_v
-
-    w = np.zeros(len(V))
-    np.add.at(w, F.ravel(), wf.ravel())
-    total = w.sum()
-    if abs(total) < tol:
-        raise ValueError("mean value coordinates degenerate at this point")
-    return w / total
+    return weight_matrix(p, cage_mesh)[0]
 
 
 def weight_matrix(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
-    """Stack mean value coordinate rows for an (n,3) point array."""
+    """Mean value coordinate rows (n, N_t) for an (n,3) point array.
+
+    A row is the indicator of the first cage vertex within ``_TOL`` of the
+    point, else the barycentric weights of the first face the point lies
+    on, else the normalized per-face sums; a point whose sum is below
+    ``_TOL`` raises ``ValueError``. Rows are computed in blocks whose
+    temporaries fit ``_MVC_BYTES``.
+    """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return np.array([mean_value_coordinates(p, cage_mesh) for p in points])
+    out = np.empty((len(points), cage_mesh.n_vertices))
+    step = max(1, _MVC_BYTES // (_MVC_FACE_BYTES * max(cage_mesh.n_faces, 1)))
+    for a in range(0, len(points), step):
+        out[a:a + step] = _mvc_rows(points[a:a + step], cage_mesh)
+    return out
+
+
+def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
+    """One block of ``weight_matrix``.
+
+    A row goes through the same elementwise operations and per-row
+    reductions as a one-point computation would, so its bits do not depend
+    on the block it is in.
+    """
+    V = cage_mesh.vertices
+    F = cage_mesh.faces
+    w = np.zeros((len(points), len(V)))
+    diff = V - points[:, None]
+    d = np.linalg.norm(diff, axis=2)
+    hit = d < _TOL
+    has_hit = hit.any(axis=1)
+    w[has_hit, hit[has_hit].argmax(axis=1)] = 1.0
+    rows = np.nonzero(~has_hit)[0]
+    if rows.size == 0:
+        return w
+    u = diff[rows] / d[rows, :, None]
+
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    # orientation of the unit directions to each face's corners, (n, m)
+    sign = np.sign(np.linalg.det(np.take(u, F, axis=1)))
+    td = np.take(d[rows], F, axis=1)
+    # edge lengths on the unit sphere, opposite corner i
+    l = np.linalg.norm(np.take(u, F[:, nxt], axis=1) - np.take(u, F[:, prv], axis=1),
+                       axis=3)
+    theta = 2.0 * np.arcsin(np.clip(l / 2.0, 0.0, 1.0))
+    h = theta.sum(axis=2) / 2.0
+
+    onface = np.pi - h < 1e-8
+    on = onface.any(axis=1)
+    if on.any():
+        fi = onface[on].argmax(axis=1)
+        tf, df = theta[on, fi], td[on, fi]
+        wf = np.sin(tf) * df[:, prv] * df[:, nxt]
+        w[rows[on][:, None], F[fi]] = wf / wf.sum(axis=1, keepdims=True)
+        rows, sign, td, theta, h = (x[~on] for x in (rows, sign, td, theta, h))
+        if rows.size == 0:
+            return w
+
+    sin_t = np.sin(theta)
+    sin_n = np.take(sin_t, nxt, axis=2)
+    c = (2.0 * np.sin(h)[:, :, None] * np.sin(h[:, :, None] - theta)) / (
+        sin_n * np.take(sin_t, prv, axis=2)
+    ) - 1.0
+    s = sign[:, :, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    # faces whose plane contains p but p projects outside them contribute 0
+    valid = (np.abs(s) > _TOL).all(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wf = (theta - np.take(c, nxt, axis=2) * np.take(theta, prv, axis=2)
+              - np.take(c, prv, axis=2) * np.take(theta, nxt, axis=2)) / (
+            td * sin_n * np.take(s, prv, axis=2)
+        )
+    wf[~valid] = 0.0
+
+    # per row, the corner weights accumulate onto the cage vertices in face
+    # order, as ``np.add.at`` would for one point
+    nr, nt = len(rows), len(V)
+    at = (np.arange(nr)[:, None] * nt + F.ravel()).ravel()
+    acc = np.bincount(at, wf.ravel(), nr * nt).reshape(nr, nt)
+    total = acc.sum(axis=1)
+    if (np.abs(total) < _TOL).any():
+        raise ValueError("mean value coordinates degenerate at this point")
+    w[rows] = acc / total[:, None]
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,13 @@ def grad_phy_wrt_vertices(dobj: DeformableObject, z: np.ndarray,
 
 def correct_shape(dobj: DeformableObject, z: np.ndarray, proj_cfg: ProjConfig,
                   sim_cfg: SimConfig):
-    """Descend the projection loss in z; returns (z', report before, report after)."""
+    """Descend the projection loss in z; returns (z', report before, report after).
+
+    The descent stops at a fixed point: once a step leaves z unchanged bit
+    for bit, every later step would repeat the same computation, so the
+    report just computed at z is the report after. Bytes are compared, so a
+    step that only flips the sign of a zero still counts as a move.
+    """
     z = np.array(z, dtype=np.float64)
     before = None
     for _ in range(proj_cfg.iters):
@@ -553,7 +559,10 @@ def correct_shape(dobj: DeformableObject, z: np.ndarray, proj_cfg: ProjConfig,
             before = report          # the gradient pass already evaluates at z
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite projection gradient")
-        z = z - proj_cfg.eps_proj * grad
+        z_new = z - proj_cfg.eps_proj * grad
+        if z_new.tobytes() == z.tobytes():
+            return z, before, report
+        z = z_new
     after, _, _ = _run_losses(dobj.parts, [p.mesh_at(z) for p in dobj.parts],
                               sim_cfg)
     return z, after if before is None else before, after

@@ -17,7 +17,9 @@ from artigen.mesh import Joint, TriMesh, merge_meshes
 from artigen.physics import (
     _BARY_TOL,
     CollisionReport,
+    DeformableObject,
     DeformablePart,
+    ProjConfig,
     SimConfig,
     _articulated_ref_mesh,
     _face_frames,
@@ -172,6 +174,27 @@ def run_losses_every_detection(parts, part_meshes, cfg: SimConfig,
     return report, proj_grads, phy_grads
 
 
+def correct_shape_every_step(dobj: DeformableObject, z: np.ndarray,
+                             proj_cfg: ProjConfig, sim_cfg: SimConfig):
+    """``physics.correct_shape`` without the fixed-point exit.
+
+    Runs all ``proj_cfg.iters`` steps and a last loss pass at the final z,
+    so it makes ``iters + 1`` ``_run_losses`` passes whether or not z moves.
+    """
+    z = np.array(z, dtype=np.float64)
+    before = None
+    for _ in range(proj_cfg.iters):
+        report, grad = physics.grad_proj_wrt_z(dobj, z, sim_cfg)
+        if before is None:
+            before = report          # the gradient pass already evaluates at z
+        if not np.isfinite(grad).all():
+            raise FloatingPointError("non-finite projection gradient")
+        z = z - proj_cfg.eps_proj * grad
+    after, _, _ = physics._run_losses(dobj.parts,
+                                      [p.mesh_at(z) for p in dobj.parts], sim_cfg)
+    return z, after if before is None else before, after
+
+
 def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,
                ref_states=()) -> DeformablePart:
     """A part that ignores z (zero Jacobian)."""
@@ -184,6 +207,70 @@ def rigid_part(name: str, mesh: TriMesh, joint: Joint, k: int,
 
 # ---------------------------------------------------------------------------
 # Cages and bases
+
+
+def mvc_per_point(p, cage_mesh: TriMesh, tol: float = 1e-12) -> np.ndarray:
+    """``cage.weight_matrix`` for one point, one face array at a time.
+
+    Coincidence with a cage vertex yields the indicator vector; a point on a
+    face falls back to the 2D barycentric weights of that face.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(3)
+    V = cage_mesh.vertices
+    F = cage_mesh.faces
+    diff = V - p
+    d = np.linalg.norm(diff, axis=1)
+    hit = np.nonzero(d < tol)[0]
+    if hit.size:
+        w = np.zeros(len(V))
+        w[hit[0]] = 1.0
+        return w
+    u = diff / d[:, None]
+
+    tu = u[F]  # (m, 3, 3) unit directions per face corner
+    td = d[F]
+    # edge lengths on the unit sphere, opposite corner i
+    l = np.linalg.norm(tu[:, [1, 2, 0]] - tu[:, [2, 0, 1]], axis=2)
+    theta = 2.0 * np.arcsin(np.clip(l / 2.0, 0.0, 1.0))
+    h = theta.sum(axis=1) / 2.0
+
+    onface = np.pi - h < 1e-8
+    if onface.any():
+        fi = int(np.nonzero(onface)[0][0])
+        wf = np.sin(theta[fi]) * td[fi][[2, 0, 1]] * td[fi][[1, 2, 0]]
+        w = np.zeros(len(V))
+        w[F[fi]] = wf / wf.sum()
+        return w
+
+    sin_t = np.sin(theta)
+    c = (2.0 * np.sin(h)[:, None] * np.sin(h[:, None] - theta)) / (
+        sin_t[:, [1, 2, 0]] * sin_t[:, [2, 0, 1]]
+    ) - 1.0
+    det = np.linalg.det(tu)
+    s = np.sign(det)[:, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    # faces whose plane contains p but p projects outside them contribute 0
+    valid = (np.abs(s) > tol).all(axis=1)
+
+    wf = np.zeros_like(theta)
+    if valid.any():
+        cv, sv, tv, dv = c[valid], s[valid], theta[valid], td[valid]
+        wf_v = (tv - cv[:, [1, 2, 0]] * tv[:, [2, 0, 1]] - cv[:, [2, 0, 1]] * tv[:, [1, 2, 0]]) / (
+            dv * np.sin(tv[:, [1, 2, 0]]) * sv[:, [2, 0, 1]]
+        )
+        wf[valid] = wf_v
+
+    w = np.zeros(len(V))
+    np.add.at(w, F.ravel(), wf.ravel())
+    total = w.sum()
+    if abs(total) < tol:
+        raise ValueError("mean value coordinates degenerate at this point")
+    return w / total
+
+
+def weight_matrix_per_point(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
+    """Stack ``mvc_per_point`` rows for an (n,3) point array."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    return np.array([mvc_per_point(p, cage_mesh) for p in points])
 
 
 def apply_cage_deform(cage: Cage, cage_offsets: np.ndarray) -> np.ndarray:

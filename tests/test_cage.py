@@ -1,8 +1,12 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artigen import cage as cage_mod
 from artigen.cage import (
     Cage,
     build_cage,
@@ -11,9 +15,9 @@ from artigen.cage import (
     smooth_weights,
     weight_matrix,
 )
-from artigen.mesh import TriMesh
-from fixtures import grid_box, hull_mesh, simple_box
-from oracle import apply_cage_deform
+from artigen.mesh import TriMesh, load_manifest
+from fixtures import grid_box, hull_mesh, simple_box, write_eyeglasses_dataset
+from oracle import apply_cage_deform, mvc_per_point, weight_matrix_per_point
 
 
 def naive_mvc(x, mesh, eps=1e-10):
@@ -229,3 +233,127 @@ def test_smooth_weights_reduce_seam_gap():
     soft = smooth_weights(cages, [a, b], blend_radius=0.5)
     assert seam_gap(soft) < seam_gap(hard)
 
+
+
+# ---------------------------------------------------------------------------
+# Batched weights: byte for byte the per-point oracle
+
+
+def _special_points(cage, rng):
+    """Cage vertices, points on cage faces and edges, and points on a face
+    plane outside the face."""
+    tri = cage.vertices[cage.faces]
+    centroid = tri.mean(axis=1)
+    bary = rng.dirichlet(np.ones(3), size=len(tri))
+    on_face = np.einsum("fk,fka->fa", bary, tri)
+    # on an edge, so on the two faces that share it
+    on_edge = tri[:, 0] + rng.uniform(0.2, 0.8, size=(len(tri), 1)) * (tri[:, 1] - tri[:, 0])
+    # past a corner, in the face's plane: outside the face itself
+    outside = centroid + 1.5 * (tri[:, 0] - centroid)
+    return np.vstack([cage.vertices, centroid, on_face, on_edge, outside])
+
+
+def _assert_matches_oracle(points, cage):
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    w = weight_matrix(points, cage)
+    expect = weight_matrix_per_point(points, cage)
+    assert w.shape == expect.shape == (len(points), cage.n_vertices)
+    assert w.tobytes() == expect.tobytes()
+
+
+def test_weight_matrix_matches_oracle_on_test_cages():
+    rng = np.random.default_rng(8)
+    box = grid_box(3)
+    with pytest.warns(UserWarning, match="padding"):
+        small = build_cage(simple_box())
+    # an unreferenced copy of vertex 1: a point there hits two cage vertices
+    twin = TriMesh(np.vstack([TETRA.vertices, TETRA.vertices[1]]), TETRA.faces)
+    cases = [(TETRA, TETRA.vertices.mean(axis=0)[None]),
+             (twin, TETRA.vertices.mean(axis=0)[None]),
+             (_random_cage(rng), _interior_points(rng, 200)),
+             (build_cage(box).mesh, box.vertices),
+             (small.mesh, simple_box().vertices),
+             (simple_box(), _interior_points(rng, 50)),
+             (grid_box(3), _interior_points(rng, 50))]
+    for cage, inner in cases:
+        _assert_matches_oracle(np.vstack([inner, _special_points(cage, rng)]), cage)
+
+
+def test_weight_matrix_matches_oracle_on_fixture_eyeglasses(tmp_path):
+    ds = write_eyeglasses_dataset(tmp_path, n=5, seed=0)
+    rng = np.random.default_rng(9)
+    n_convexes = 0
+    for entry in json.loads(ds.read_text())["objects"]:
+        for part in load_manifest(tmp_path / entry).parts:
+            for convex in part.convexes:
+                cage = build_cage(convex)
+                np.testing.assert_array_equal(
+                    cage.phi, weight_matrix_per_point(convex.vertices, cage.mesh))
+                _assert_matches_oracle(_special_points(cage.mesh, rng), cage.mesh)
+                n_convexes += 1
+    assert n_convexes == 20
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(6, 40),
+       scale=st.tuples(*[st.floats(0.05, 20.0)] * 3))
+def test_weight_matrix_matches_oracle_in_random_convex_cages(seed, n_points, scale):
+    rng = np.random.default_rng(seed)
+    cage = hull_mesh(rng.normal(size=(n_points, 3)) * np.array(scale))
+    mix = rng.dirichlet(np.ones(cage.n_vertices), size=20)
+    centre = cage.vertices.mean(axis=0)
+    pts = centre + rng.uniform(0.5, 1.3, size=(20, 1)) * (mix @ cage.vertices - centre)
+    _assert_matches_oracle(np.vstack([pts, _special_points(cage, rng)]), cage)
+
+
+def test_weight_matrix_degenerate_point_raises_like_oracle():
+    # a flat two-sided cage: a point in its plane but off the triangle lies in
+    # the plane of every face, so no face contributes and the weights sum to 0
+    flat = TriMesh(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.float64),
+                   np.array([[0, 1, 2], [0, 2, 1]]))
+    p = np.array([2.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match="degenerate") as expect:
+        mvc_per_point(p, flat)
+    for points in (p[None], np.array([[0.2, 0.2, 0.5], p, [0.1, 0.1, 0.0]])):
+        with pytest.raises(ValueError) as got:
+            weight_matrix(points, flat)
+        assert str(got.value) == str(expect.value)
+
+
+def test_weight_matrix_of_no_points_has_one_column_per_cage_vertex():
+    cage = cage_template()
+    w = weight_matrix(np.zeros((0, 3)), cage)
+    assert w.shape == (0, cage.n_vertices)
+
+
+def test_weight_matrix_is_bit_identical_across_block_sizes(monkeypatch):
+    rng = np.random.default_rng(10)
+    cage = _random_cage(rng)
+    pts = np.vstack([_interior_points(rng, 300), _special_points(cage, rng)])
+    whole = weight_matrix(pts, cage)
+    # one row per block, then a few rows per block
+    for budget in (1, 7 * cage_mod._MVC_FACE_BYTES * cage.n_faces):
+        monkeypatch.setattr(cage_mod, "_MVC_BYTES", budget)
+        assert weight_matrix(pts, cage).tobytes() == whole.tobytes()
+
+
+def test_weight_matrix_memory_stays_within_budget():
+    rng = np.random.default_rng(12)
+    cage = _random_cage(rng)
+    pts = _interior_points(rng, 20000)
+    out_bytes = len(pts) * cage.n_vertices * 8
+    tracemalloc.start()
+    try:
+        w = weight_matrix(pts, cage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (20000, cage.n_vertices)
+    # the output plus one block's temporaries; all 20k rows at once would
+    # take about 460 MB (measured: output + 1.1x the budget)
+    assert peak < out_bytes + 2 * cage_mod._MVC_BYTES
+
+
+def test_cage_template_is_built_once():
+    assert cage_template() is cage_template()
+    assert not cage_template().vertices.flags.writeable

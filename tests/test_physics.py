@@ -30,6 +30,7 @@ from artigen.physics import (
 )
 from fixtures import grid_box, hinge_wall_rod, hull_mesh, simple_box, write_eyeglasses
 from oracle import (
+    correct_shape_every_step,
     dense_sweep_crossings,
     frozen_proj_loss,
     rigid_part,
@@ -225,6 +226,67 @@ def test_correct_shape_strictly_decreases_penetration():
     assert before.l_phy > 0
     assert after.l_phy < before.l_phy
     assert not np.array_equal(z0, z1)
+
+
+def _count_loss_passes(monkeypatch):
+    calls = []
+    original = physics._run_losses
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("want_grad", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(physics, "_run_losses", counted)
+    return calls
+
+
+def test_correct_shape_matches_every_step_oracle_when_z_moves(monkeypatch):
+    dobj = _hinge_deformable(k=4, seed=0)
+    cfg = SimConfig(n_steps=20, n_det=3, seed=1)
+    proj = ProjConfig(iters=10, eps_proj=1e-5)
+    calls = _count_loss_passes(monkeypatch)
+    z, before, after = correct_shape(dobj, np.zeros(4), proj, cfg)
+    assert len(calls) == proj.iters + 1      # z moves at every step
+    zo, before_o, after_o = correct_shape_every_step(dobj, np.zeros(4), proj, cfg)
+    assert z.tobytes() == zo.tobytes()
+    assert before == before_o and after == after_o
+    assert after.l_phy < before.l_phy
+
+
+def test_correct_shape_stops_at_its_fixed_point(monkeypatch):
+    dobj = _hinge_deformable(k=4, seed=0)
+    cfg = SimConfig(n_steps=20, n_det=3, seed=1)
+    # a nonzero step far below one ulp of every entry of z leaves z as it is
+    proj = ProjConfig(iters=10, eps_proj=1e-30)
+    z0 = np.random.default_rng(3).normal(scale=0.5, size=4)
+    _, grad = physics.grad_proj_wrt_z(dobj, z0, cfg)
+    step = proj.eps_proj * grad
+    assert (step != 0).all() and (np.abs(step) < np.abs(np.spacing(z0)) / 2).all()
+    calls = _count_loss_passes(monkeypatch)
+    z, before, after = correct_shape(dobj, z0, proj, cfg)
+    assert calls == [True]
+    calls.clear()
+    zo, before_o, after_o = correct_shape_every_step(dobj, z0, proj, cfg)
+    assert len(calls) == proj.iters + 1
+    assert z.tobytes() == zo.tobytes() == z0.tobytes()
+    assert before.l_phy > 0
+    assert before == before_o and after == after_o
+
+
+def test_correct_shape_counts_a_sign_flip_of_zero_as_a_move(monkeypatch):
+    dobj = _hinge_deformable(k=4, seed=0)
+    cfg = SimConfig(n_steps=20, n_det=3, seed=1)
+    real = physics.grad_proj_wrt_z
+
+    def negative_zero_grad(dobj, z, cfg):
+        return real(dobj, z, cfg)[0], np.full(dobj.k, -0.0)
+
+    monkeypatch.setattr(physics, "grad_proj_wrt_z", negative_zero_grad)
+    # -0.0 - 1e-5 * -0.0 is +0.0: equal as numbers, but the step moved z
+    proj = ProjConfig(iters=3, eps_proj=1e-5)
+    z, _, _ = correct_shape(dobj, np.full(4, -0.0), proj, cfg)
+    zo, _, _ = correct_shape_every_step(dobj, np.full(4, -0.0), proj, cfg)
+    assert z.tobytes() == zo.tobytes() == np.zeros(4).tobytes()
 
 
 def test_physics_losses_hinge_object():
