@@ -147,13 +147,13 @@ def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
 
     sin_t = np.sin(theta)
     sin_n = np.take(sin_t, nxt, axis=2)
-    c = (2.0 * np.sin(h)[:, :, None] * np.sin(h[:, :, None] - theta)) / (
-        sin_n * np.take(sin_t, prv, axis=2)
-    ) - 1.0
-    s = sign[:, :, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    # faces whose plane contains p but p projects outside them contribute 0
-    valid = (np.abs(s) > _TOL).all(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
+        c = (2.0 * np.sin(h)[:, :, None] * np.sin(h[:, :, None] - theta)) / (
+            sin_n * np.take(sin_t, prv, axis=2)
+        ) - 1.0
+        s = sign[:, :, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        # faces whose plane contains p but p projects outside them contribute 0
+        valid = (np.abs(s) > _TOL).all(axis=2)
         wf = (theta - np.take(c, nxt, axis=2) * np.take(theta, prv, axis=2)
               - np.take(c, prv, axis=2) * np.take(theta, nxt, axis=2)) / (
             td * sin_n * np.take(s, prv, axis=2)

@@ -43,7 +43,6 @@ class PipelineError(ValueError):
 class PipelineConfig:
     k: int = 16
     n_samples_per_reference: int = 40
-    sync_iters: int = 100
     gmm_components: int = 3
     lambda_phy: float = 1.0
     finetune_outer_iters: int = 10
@@ -444,8 +443,7 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
                 break
 
     y = np.stack([np.asarray(c.coeffs) for c in model.convexes])  # (M, |A|, K)
-    model.sync = synchronize([c.bases for c in model.convexes], y,
-                             iters=cfg.sync_iters)
+    model.sync = synchronize([c.bases for c in model.convexes], y)
     model.gmm = fit_gmm(model.sync.global_coeffs,
                         n_components=cfg.gmm_components, seed=cfg.seed)
     save_model(model, out_path)

@@ -1,4 +1,4 @@
-"""Cross-convex deformation synchronization by alternating SVD/least-squares."""
+"""Cross-convex deformation synchronization: S_m z^i ~ y_m^i for every convex m."""
 
 from __future__ import annotations
 
@@ -8,38 +8,10 @@ import numpy as np
 
 from .basis import BasisSet
 
-_SV_CUTOFF = 1e-10
-
-
-def _svd_signed(a: np.ndarray):
-    """SVD with a deterministic sign convention.
-
-    The first entry of each left singular vector whose magnitude exceeds a
-    relative threshold is made positive; the matching rows of V^T are flipped.
-    """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-    return u, s, vt
-
-
-def _pinv_sigma(s: np.ndarray) -> np.ndarray:
-    if s.size == 0:
-        return s
-    cutoff = _SV_CUTOFF * s.max()
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return inv
-
-
-def svd_pinv(a: np.ndarray) -> np.ndarray:
-    u, s, vt = _svd_signed(a)
-    return vt.T @ np.diag(_pinv_sigma(s)) @ u.T
+# singular values at or below this fraction of the largest count as zero
+_RCOND = 1e-10
+# alternation steps run when the closed form cannot interpolate (rank Z < |A|)
+_FALLBACK_ITERS = 100
 
 
 @dataclass
@@ -88,17 +60,15 @@ def sync_objective(bases: list[BasisSet], s_matrices: list[np.ndarray],
     return total
 
 
-def optimize_sync_matrix(z_stack: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
-    """Per-convex transformation update: S_m = Y_m Z^+ via the two SVDs.
+def optimize_sync_matrices(global_coeffs: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """Per-convex transformation update S_m = Y_m Z^+, one Z^+ for all convexes.
 
-    ``z_stack`` and ``y_stack`` are (K, |A|) with coefficient vectors as
-    columns.
+    ``global_coeffs`` is (|A|, K) and ``y`` is (M, |A|, K); Z and Y_m hold
+    the coefficient vectors of the targets as columns.
     """
-    z_stack = np.asarray(z_stack, dtype=np.float64)
-    y_stack = np.asarray(y_stack, dtype=np.float64)
-    u, s, vt = _svd_signed(z_stack)
-    um, sm, vmt = _svd_signed(y_stack)
-    return um @ np.diag(sm) @ vmt @ vt.T @ np.diag(_pinv_sigma(s)) @ u.T
+    z_pinv = np.linalg.pinv(np.asarray(global_coeffs, dtype=np.float64).T,
+                            rcond=_RCOND)
+    return [y_m.T @ z_pinv for y_m in np.asarray(y, dtype=np.float64)]
 
 
 def optimize_global_coeff(s_matrices: list[np.ndarray], y: np.ndarray) -> np.ndarray:
@@ -111,31 +81,36 @@ def optimize_global_coeff(s_matrices: list[np.ndarray], y: np.ndarray) -> np.nda
     y = np.asarray(y, dtype=np.float64)
     if len(s_matrices) != y.shape[0] or len(s_matrices) == 0:
         raise ValueError("one S matrix per convex required")
-    sols = np.array([[pinv @ y_mi for y_mi in y_m]
-                     for pinv, y_m in zip(map(svd_pinv, s_matrices), y)])
-    return np.mean(sols, axis=0)
+    return np.mean([y_m @ np.linalg.pinv(s, rcond=_RCOND).T
+                    for s, y_m in zip(s_matrices, y)], axis=0)
 
 
-def synchronize(bases: list[BasisSet], y: np.ndarray, iters: int = 100) -> SyncState:
-    """Alternating optimization of the S matrices and the global coefficients.
+def synchronize(bases: list[BasisSet], y: np.ndarray) -> SyncState:
+    """Global coefficients and S matrices that map them onto every convex.
 
-    ``y`` is (M, |A|, K). Global coefficients start from the cross-convex mean
-    of the per-convex coefficients; one S update always runs first so that
-    iters=0 still returns a defined state. Each loop re-optimizes z then S and
-    records the objective (descent is not guaranteed by the approximate
-    alternation and is recorded, not asserted).
+    ``y`` is (M, |A|, K). The global coefficients are the cross-convex mean
+    of ``y`` and S_m = Y_m Z^+, which solves S_m Z = Y_m exactly whenever Z
+    has rank |A|. Otherwise (for generic data, |A| > K) the S and z updates
+    alternate for ``_FALLBACK_ITERS`` steps, and the state with the lowest
+    objective is returned. The history holds the objective at identity S,
+    after the closed form, and after each alternation step.
     """
     y = np.asarray(y, dtype=np.float64)
-    m_count, _, k = y.shape
+    m_count, n_targets, k = y.shape
     z = y.mean(axis=0)  # (|A|, K)
-    # initial objective measured at identity transformations
     history = [sync_objective(bases, [np.eye(k)] * m_count, z, y)]
-    s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
+    s_matrices = optimize_sync_matrices(z, y)
     history.append(sync_objective(bases, s_matrices, z, y))
-    for _ in range(iters):
-        z = optimize_global_coeff(s_matrices, y)
-        s_matrices = [optimize_sync_matrix(z.T, y[m].T) for m in range(m_count)]
-        history.append(sync_objective(bases, s_matrices, z, y))
+    sv = np.linalg.svd(z, compute_uv=False)
+    if np.count_nonzero(sv > _RCOND * sv.max(initial=0.0)) < n_targets:
+        best = (history[-1], s_matrices, z)
+        for _ in range(_FALLBACK_ITERS):
+            z = optimize_global_coeff(s_matrices, y)
+            s_matrices = optimize_sync_matrices(z, y)
+            history.append(sync_objective(bases, s_matrices, z, y))
+            if history[-1] < best[0]:
+                best = (history[-1], s_matrices, z)
+        _, s_matrices, z = best
     return SyncState(s_matrices=s_matrices, global_coeffs=z,
                      objective_history=history)
 

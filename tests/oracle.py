@@ -29,7 +29,7 @@ from artigen.physics import (
     face_normals,
     single_simulation,
 )
-from artigen.sync import optimize_sync_matrix, svd_pinv, sync_objective
+from artigen.sync import sync_objective
 
 _NORM_EPS = 1e-12
 
@@ -363,12 +363,58 @@ def orthogonality(bases: BasisSet) -> np.ndarray:
 # Synchronization
 
 
+_SV_CUTOFF = 1e-10
+
+
+def _svd_signed(a: np.ndarray):
+    """SVD with a deterministic sign convention.
+
+    The first entry of each left singular vector whose magnitude exceeds a
+    relative threshold is made positive; the matching rows of V^T are flipped.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, j] = -col
+            vt[j, :] = -vt[j, :]
+    return u, s, vt
+
+
+def _pinv_sigma(s: np.ndarray) -> np.ndarray:
+    if s.size == 0:
+        return s
+    cutoff = _SV_CUTOFF * s.max()
+    inv = np.zeros_like(s)
+    keep = s > cutoff
+    inv[keep] = 1.0 / s[keep]
+    return inv
+
+
+def svd_pinv(a: np.ndarray) -> np.ndarray:
+    u, s, vt = _svd_signed(a)
+    return vt.T @ np.diag(_pinv_sigma(s)) @ u.T
+
+
+def optimize_sync_matrix(z_stack: np.ndarray, y_stack: np.ndarray) -> np.ndarray:
+    """S_m = Y_m Z^+ via the SVDs of both stacks, (K, |A|) with targets as columns."""
+    z_stack = np.asarray(z_stack, dtype=np.float64)
+    y_stack = np.asarray(y_stack, dtype=np.float64)
+    u, s, vt = _svd_signed(z_stack)
+    um, sm, vmt = _svd_signed(y_stack)
+    return um @ np.diag(sm) @ vmt @ vt.T @ np.diag(_pinv_sigma(s)) @ u.T
+
+
 def synchronize_per_target(bases: list[BasisSet], y: np.ndarray,
                            iters: int = 100):
-    """``sync.synchronize`` taking the pseudo-inverses target by target.
+    """Synchronization by ``iters`` steps of alternating S and z updates.
 
-    Returns ``(s_matrices, global_coeffs, objective_history)``. Every global
-    coefficient update runs ``svd_pinv`` on all M S matrices once per target.
+    Returns ``(s_matrices, global_coeffs, objective_history)`` of the last
+    step. z starts at the cross-convex mean of ``y`` and one S update runs
+    before the loop; every S matrix comes from two signed SVDs per convex and
+    every global coefficient update runs ``svd_pinv`` on all M S matrices
+    once per target.
     """
     y = np.asarray(y, dtype=np.float64)
     m_count, n_targets, k = y.shape

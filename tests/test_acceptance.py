@@ -133,7 +133,8 @@ def test_basis_recovery_and_gradient():
 
 
 def test_synchronization():
-    from artigen.sync import (optimize_sync_matrix, svd_pinv, synchronize)
+    from artigen.sync import (optimize_global_coeff, optimize_sync_matrices,
+                              synchronize)
 
     rng = np.random.default_rng(3)
     worst_ratio = 0.0
@@ -144,19 +145,19 @@ def test_synchronization():
                 z = rng.normal(size=(n_targets, k))
                 y = np.stack([(s @ z.T).T for s in s_true])
                 bases = [BasisSet(rng.normal(size=(k, 6, 3))) for _ in range(m)]
-                st = synchronize(bases, y, iters=100)
+                st = synchronize(bases, y)
                 worst_ratio = max(worst_ratio,
                                   st.objective_history[-1] / st.objective_history[0])
     za = rng.normal(size=(7, 5))
     ya = rng.normal(size=(7, 5))
-    alg1_dev = np.abs(optimize_sync_matrix(za.T, ya.T)
+    alg1_dev = np.abs(optimize_sync_matrices(za, ya[None])[0]
                       - ya.T @ np.linalg.pinv(za.T)).max()
     orth_dev = 0.0
     for _ in range(10):
         s = rng.normal(size=(6, 6))
         s[:, 0] = s[:, 1]
         yv = rng.normal(size=6)
-        z_hat = svd_pinv(s) @ yv
+        z_hat = optimize_global_coeff([s], yv[None, None])[0]
         orth_dev = max(orth_dev, np.abs(s.T @ (s @ z_hat - yv)).max())
     ok = worst_ratio < 1e-6 and alg1_dev < 1e-10 and orth_dev < 1e-8
     _report("synchronization", ok,
@@ -246,7 +247,7 @@ def test_metrics_and_ablation(tmp_path):
     apds = {}
     for lam in (0.0, 1.0):
         cfg = PipelineConfig(
-            k=3, sync_iters=20, gmm_components=2, finetune_outer_iters=2,
+            k=3, gmm_components=2, finetune_outer_iters=2,
             lambda_phy=lam, seed=0,
             fit=FitConfig(chamfer_samples=128, outer_iters=2, reg_steps=5),
             sim=SimConfig(n_steps=10, n_det=2, seed=0),

@@ -31,7 +31,7 @@ from fixtures import write_eyeglasses_dataset
 
 def tiny_config() -> PipelineConfig:
     cfg = PipelineConfig(
-        k=3, n_samples_per_reference=3, sync_iters=20, gmm_components=2,
+        k=3, n_samples_per_reference=3, gmm_components=2,
         finetune_outer_iters=2, eval_points=256, seed=0,
         fit=FitConfig(chamfer_samples=128, outer_iters=2, reg_steps=5),
         sim=SimConfig(n_steps=10, n_det=2, seed=0),
@@ -150,6 +150,24 @@ def test_finetune_adds_sync_and_gmm(finetuned):
     assert back.sync is not None and back.gmm is not None
     np.testing.assert_array_equal(back.sync.global_coeffs,
                                   model.sync.global_coeffs)
+
+
+def test_finetune_sync_matches_alternation_oracle(finetuned):
+    from artigen.sync import sync_objective
+    from oracle import synchronize_per_target
+
+    model, _ = finetuned
+    bases = [c.bases for c in model.convexes]
+    y = np.stack([c.coeffs for c in model.convexes])
+    _, z, history = synchronize_per_target(bases, y)
+    sync = model.sync
+    assert len(sync.objective_history) == 2
+    objective = sync_objective(bases, sync.s_matrices, sync.global_coeffs, y)
+    assert objective <= history[-1] + 1e-12 * history[0]
+    # the S matrices here have condition numbers of 1e16 to 1e18, so each
+    # oracle step moves z off the cross-convex mean by about 2e-12 relative
+    rel = np.abs(sync.global_coeffs - z).max() / np.abs(z).max()
+    assert rel < 1e-10
 
 
 def test_zero_coefficient_reproduces_reference(finetuned, workdir):
@@ -332,6 +350,9 @@ def test_apply_overrides():
         apply_overrides(PipelineConfig(), {"sim": {"bogus": 1}})
     with pytest.raises(PipelineError, match="sim"):
         apply_overrides(PipelineConfig(), {"sim": 5})
+    # the alternation count is no longer a setting
+    with pytest.raises(PipelineError, match="sync_iters"):
+        apply_overrides(PipelineConfig(), {"sync_iters": 100})
     # nested blocks are rebuilt, so their own validation still runs
     with pytest.raises(ValueError, match="n_steps"):
         apply_overrides(PipelineConfig(), {"sim": {"n_steps": 0}})

@@ -5,8 +5,7 @@ from artigen.basis import BasisSet
 from artigen.sync import (
     SyncState,
     optimize_global_coeff,
-    optimize_sync_matrix,
-    svd_pinv,
+    optimize_sync_matrices,
     sync_objective,
     synced_bases,
     synchronize,
@@ -20,6 +19,10 @@ def _exact_model(rng, m, k, n_targets):
     y = np.stack([(s @ z.T).T for s in s_true])
     bases = [BasisSet(rng.normal(size=(k, 6, 3))) for _ in range(m)]
     return bases, y, z, s_true
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
 
 
 def oracle_objective(bases, s_matrices, z, y):
@@ -45,7 +48,7 @@ def test_objective_matches_oracle(rng):
 @pytest.mark.parametrize("n_targets", [4, 10])
 def test_exact_model_converges(rng, m, k, n_targets):
     bases, y, _, _ = _exact_model(rng, m, k, n_targets)
-    state = synchronize(bases, y, iters=100)
+    state = synchronize(bases, y)
     h = state.objective_history
     assert h[0] > 0
     assert h[-1] < 1e-6 * h[0]
@@ -55,7 +58,7 @@ def test_transform_update_equals_pinv_product(rng):
     k, n_targets = 5, 7
     z = rng.normal(size=(n_targets, k))
     y = rng.normal(size=(n_targets, k))
-    s = optimize_sync_matrix(z.T, y.T)
+    s, = optimize_sync_matrices(z, y[None])
     expect = y.T @ np.linalg.pinv(z.T)
     assert np.abs(s - expect).max() < 1e-10
 
@@ -64,7 +67,7 @@ def test_transform_update_rank_deficient(rng):
     k = 4
     z = rng.normal(size=(2, k))  # fewer targets than dimensions
     y = rng.normal(size=(2, k))
-    s = optimize_sync_matrix(z.T, y.T)
+    s, = optimize_sync_matrices(z, y[None])
     expect = y.T @ np.linalg.pinv(z.T)
     assert np.abs(s - expect).max() < 1e-10
 
@@ -76,7 +79,7 @@ def test_coefficient_update_residual_orthogonality(rng):
     s_list[0][:, 0] = s_list[0][:, 1]
     y_i = rng.normal(size=(m, k))
     for s, y in zip(s_list, y_i):
-        z_hat = svd_pinv(s) @ y
+        z_hat = optimize_global_coeff([s], y[None, None])[0]
         residual = s @ z_hat - y
         # least-squares residual is orthogonal to the column space
         assert np.abs(s.T @ residual).max() < 1e-8
@@ -94,26 +97,59 @@ def test_synchronize_matches_per_target_oracle(rng, case):
         bases, y, _, _ = _exact_model(rng, 3, 4, 6)
     if case != "exact":
         y = y + rng.normal(scale=0.1, size=y.shape)
-    state = synchronize(bases, y, iters=15)
-    s_matrices, z, history = synchronize_per_target(bases, y, iters=15)
-    for a, b in zip(state.s_matrices, s_matrices, strict=True):
-        assert np.array_equal(a, b)
-    assert np.array_equal(state.global_coeffs, z)
-    assert state.objective_history == history
+    state = synchronize(bases, y)
+    _, z, history = synchronize_per_target(bases, y)
+    objective = sync_objective(bases, state.s_matrices, state.global_coeffs, y)
+    assert objective <= history[-1] + 1e-12 * history[0]
+    if case == "rank_deficient":
+        assert _rel(state.global_coeffs, z) < 1e-9
+    else:
+        # more targets than dimensions: the alternation runs as a fallback
+        assert len(state.objective_history) == len(history)
+        assert objective <= history[-1]
+
+
+def test_closed_form_matches_alternation_when_interpolating(rng):
+    worst = 0.0
+    for _ in range(12):
+        m, k = rng.integers(2, 6), rng.integers(2, 17)
+        n_targets = rng.integers(1, k + 1)
+        bases, y, _, _ = _exact_model(rng, m, k, n_targets)
+        y = y + rng.normal(scale=rng.choice([0.0, 0.1, 1.0]), size=y.shape)
+        state = synchronize(bases, y)
+        assert len(state.objective_history) == 2
+        _, z, history = synchronize_per_target(bases, y)
+        assert state.objective_history[-1] <= history[-1] + 1e-12 * history[0]
+        worst = max(worst, _rel(state.global_coeffs, z))
+    assert worst < 1e-9
+
+
+def test_fallback_returns_best_iterate():
+    # |A| > K with noise: the alternation dips below the closed form, then
+    # ends above it
+    rng = np.random.default_rng(248)
+    bases, y, _, _ = _exact_model(rng, 3, 4, 6)
+    y = y + rng.normal(scale=0.1, size=y.shape)
+    state = synchronize(bases, y)
+    h = state.objective_history
+    assert min(h[1:]) < h[1] < h[-1]
+    objective = sync_objective(bases, state.s_matrices, state.global_coeffs, y)
+    assert objective == min(h[1:])
 
 
 def test_zero_iters_still_defined(rng):
-    bases, y, _, _ = _exact_model(rng, 2, 3, 4)
-    state = synchronize(bases, y, iters=0)
+    # |A| <= K: the closed form interpolates and no alternation step runs
+    bases, y, _, _ = _exact_model(rng, 2, 4, 3)
+    state = synchronize(bases, y)
     assert len(state.s_matrices) == 2
-    assert state.global_coeffs.shape == (4, 3)
-    assert len(state.objective_history) == 2  # identity baseline + first pass
+    assert state.global_coeffs.shape == (3, 4)
+    assert len(state.objective_history) == 2  # identity baseline + closed form
 
 
 def test_synchronize_deterministic(rng):
     bases, y, _, _ = _exact_model(rng, 3, 4, 5)
-    s1 = synchronize(bases, y, iters=10)
-    s2 = synchronize(bases, y, iters=10)
+    s1 = synchronize(bases, y)
+    s2 = synchronize(bases, y)
     for a, b in zip(s1.s_matrices, s2.s_matrices):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(s1.global_coeffs, s2.global_coeffs)
@@ -130,10 +166,18 @@ def test_synced_bases_composition(rng):
 
 def test_state_round_trip(rng):
     bases, y, _, _ = _exact_model(rng, 2, 3, 4)
-    state = synchronize(bases, y, iters=5)
-    rec = state.to_dict()
-    back = SyncState.from_dict(rec)
-    for a, b in zip(state.s_matrices, back.s_matrices):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(state.global_coeffs, back.global_coeffs)
-    assert state.objective_history == back.objective_history
+    # a record with 100 alternation steps, as models written before the
+    # closed form hold, loads the same way
+    old = SyncState.from_dict({
+        "s_matrices": [rng.normal(size=(3, 3)).tolist() for _ in range(2)],
+        "global_coeffs": rng.normal(size=(4, 3)).tolist(),
+        "objective_history": rng.random(102).tolist(),
+    })
+    for state in (synchronize(bases, y), old):
+        rec = state.to_dict()
+        back = SyncState.from_dict(rec)
+        for a, b in zip(state.s_matrices, back.s_matrices, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.global_coeffs, back.global_coeffs)
+        assert state.objective_history == back.objective_history
+    assert len(old.objective_history) == 102
