@@ -11,6 +11,10 @@ from .cage import Cage
 from .mesh import TriMesh, sample_surface
 
 _NORM_EPS = 1e-12
+# gradient steps on the regularized objective per outer iteration, and the
+# first step size; each step grows it by 1.2 when taken, halves it otherwise
+_REG_STEPS = 25
+_REG_LR = 0.05
 
 
 @dataclass
@@ -19,8 +23,6 @@ class FitConfig:
     lambda_sp: float = 1e-4
     chamfer_samples: int = 4096
     outer_iters: int = 10
-    reg_steps: int = 25
-    reg_lr: float = 0.05
 
     def __post_init__(self):
         if min(self.lambda_orth, self.lambda_sp) < 0:
@@ -188,42 +190,43 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
 # Regularizers and the basis objective
 
 
-def regularizers(bases: BasisSet) -> tuple[float, float]:
-    """(orthogonality penalty, l1 sparsity penalty)."""
-    flat = bases.bases.reshape(bases.k, -1)
-    norms = np.linalg.norm(flat, axis=1)
-    l_orth = 0.0
-    for i in range(bases.k):
-        for j in range(i + 1, bases.k):
-            r = flat[i] @ flat[j] / (norms[i] * norms[j] + _NORM_EPS)
-            l_orth += r * r
-    l_sp = np.abs(flat).sum() / flat.size
-    return float(l_orth), float(l_sp)
+def _penalties(b: np.ndarray, lambda_orth: float, lambda_sp: float):
+    """(l_orth, l_sp, gradient of lambda_orth * l_orth + lambda_sp * l_sp).
 
-
-def _regularizer_grad(b: np.ndarray, lambda_orth: float, lambda_sp: float) -> np.ndarray:
+    One pass over the basis pairs: each pair's cosine r feeds both the r² sum
+    and the gradient.
+    """
     k = b.shape[0]
     flat = b.reshape(k, -1)
     norms = np.linalg.norm(flat, axis=1)
     grad = np.zeros_like(flat)
+    l_orth = 0.0
     for i in range(k):
         for j in range(i + 1, k):
             d = norms[i] * norms[j] + _NORM_EPS
-            s = flat[i] @ flat[j]
-            r = s / d
+            r = flat[i] @ flat[j] / d
+            l_orth += r * r
             gi = flat[j] / d - (r / d) * norms[j] * flat[i] / max(norms[i], _NORM_EPS)
             gj = flat[i] / d - (r / d) * norms[i] * flat[j] / max(norms[j], _NORM_EPS)
             grad[i] += lambda_orth * 2.0 * r * gi
             grad[j] += lambda_orth * 2.0 * r * gj
     grad += lambda_sp * np.sign(flat) / flat.size
-    return grad.reshape(b.shape)
+    return float(l_orth), float(np.abs(flat).sum() / flat.size), grad.reshape(b.shape)
 
 
-def matching_loss_and_grad(b: np.ndarray, ops: list[DeformOperator],
-                           targets: list[np.ndarray], coeffs: list[np.ndarray],
-                           corrs: list[tuple[np.ndarray, np.ndarray]]):
-    """Mean fixed-correspondence point-matching loss over pairs and its basis gradient."""
-    k = b.shape[0]
+def regularizers(bases: BasisSet) -> tuple[float, float]:
+    """(orthogonality penalty, l1 sparsity penalty)."""
+    return _penalties(bases.bases, 0.0, 0.0)[:2]
+
+
+def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs,
+                             cfg: FitConfig):
+    """Regularized matching objective and its analytic gradient w.r.t. bases.
+
+    The matching term is the mean fixed-correspondence point-matching loss
+    over the pairs.
+    """
+    BasisSet(b)  # rejects non-finite bases
     loss = 0.0
     grad = np.zeros_like(b)
     n_pairs = len(ops)
@@ -239,17 +242,9 @@ def matching_loss_and_grad(b: np.ndarray, ops: list[DeformOperator],
         g_off = 2.0 * (w.T @ r_f) / n_src
         g_off += 2.0 * (w[back].T @ r_b) / n_tgt
         grad += np.einsum("na,k->kna", g_off, z) / n_pairs
-    return loss, grad
-
-
-def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs,
-                             cfg: FitConfig):
-    """Regularized matching objective and its analytic gradient w.r.t. bases."""
-    loss, grad = matching_loss_and_grad(b, ops, targets, coeffs, corrs)
-    l_orth, l_sp = regularizers(BasisSet(b))
+    l_orth, l_sp, reg_grad = _penalties(b, cfg.lambda_orth, cfg.lambda_sp)
     loss += cfg.lambda_orth * l_orth + cfg.lambda_sp * l_sp
-    grad = grad + _regularizer_grad(b, cfg.lambda_orth, cfg.lambda_sp)
-    return loss, grad
+    return loss, grad + reg_grad
 
 
 def _solve_bases_matched(ops, targets, coeffs, corrs, k: int, n_t: int,
@@ -276,6 +271,12 @@ def _solve_bases_matched(ops, targets, coeffs, corrs, k: int, n_t: int,
     m += ridge * np.trace(m) / dim * np.eye(dim) + ridge * np.eye(dim)
     sol = np.linalg.solve(m, rhs)  # (K*N_t, 3)
     return sol.reshape(k, n_t, 3)
+
+
+def stalled(history: list[float]) -> bool:
+    """Whether the last mean Chamfer value fell by less than 1e-6 relative."""
+    return (len(history) > 1 and history[-2] > 0
+            and (history[-2] - history[-1]) / history[-2] < 1e-6)
 
 
 @dataclass
@@ -335,11 +336,9 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         corrs = [f.correspondences for f in fits]
         l_c = float(np.mean([f.cd for f in fits]))
         history.append(l_c)
-        if len(history) > 1:
-            prev = history[-2]
-            if prev > 0 and (prev - l_c) / prev < 1e-6:
-                converged = True
-                break
+        if stalled(history):
+            converged = True
+            break
         b_new = _solve_bases_matched(ops, target_pts, coeffs, corrs, k, n_t)
         # keep the closed-form step only if the regularized objective agrees
         obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
@@ -348,9 +347,9 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         if obj_new <= obj:
             b, obj, grad = b_new, obj_new, grad_new
         # gradient descent on the full regularized objective
-        lr = cfg.reg_lr
+        lr = _REG_LR
         grad = grad + extra
-        for _ in range(cfg.reg_steps):
+        for _ in range(_REG_STEPS):
             b_try = b - lr * grad
             obj_try, grad_try = basis_objective_and_grad(
                 b_try, ops, target_pts, coeffs, corrs, cfg)
@@ -359,10 +358,6 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
                 lr *= 1.2
             else:
                 lr *= 0.5
-                if lr < 1e-12:
-                    break
-    else:
-        converged = False
 
     bases = BasisSet(b)
     fits = [fit_coefficient(bases, op, tgt, z0=z)

@@ -16,6 +16,7 @@ from .basis import (
     fit_bases,
     fit_gmm,
     sample_gmm,
+    stalled,
 )
 from .cage import Cage, build_cage, smooth_weights
 from .mesh import (ArticulatedObject, TriMesh, load_manifest, load_obj,
@@ -387,18 +388,20 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
 
     pre = load_model(pretrained_path) if pretrained_path else None
     flat = _flat_convexes(source)
-    if pre is not None and len(pre.convexes) != len(flat):
+    if pre is not None and (len(pre.convexes), pre.k) != (len(flat), cfg.k):
         raise PipelineError(
-            f"pretrained model has {len(pre.convexes)} convexes, "
-            f"object has {len(flat)}"
+            f"pretrained model {pretrained_path} has {len(pre.convexes)} convexes "
+            f"and k={pre.k}; this run has {len(flat)} convexes and k={cfg.k}"
         )
 
+    # pretrained bases index template cage vertices, so they carry over to this
+    # source; its cages are built here, as in pretraining
     convexes: list[ConvexModel] = []
     for fi, (pi, ci, convex) in enumerate(flat):
+        cage = build_cage(convex, epsilon=cfg.epsilon)
         if pre is not None:
-            cage, bases = pre.convexes[fi].cage, pre.convexes[fi].bases
+            bases = pre.convexes[fi].bases
         else:
-            cage = build_cage(convex, epsilon=cfg.epsilon)
             bases = BasisSet(np.random.default_rng(cfg.seed + fi).normal(
                 scale=0.1 * max(np.ptp(convex.vertices), 1e-6),
                 size=(cfg.k, cage.mesh.n_vertices, 3)))
@@ -436,11 +439,9 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
             cm.coeffs = np.stack(fit.coeffs)
             cm.loss_history.extend(fit.loss_history)
             round_losses.append(fit.loss_history[-1])
-        lc = float(np.mean(round_losses))
-        lc_history.append(lc)
-        if len(lc_history) > 1 and lc_history[-2] > 0:
-            if (lc_history[-2] - lc) / lc_history[-2] < 1e-6:
-                break
+        lc_history.append(float(np.mean(round_losses)))
+        if stalled(lc_history):
+            break
 
     y = np.stack([np.asarray(c.coeffs) for c in model.convexes])  # (M, |A|, K)
     model.sync = synchronize([c.bases for c in model.convexes], y)

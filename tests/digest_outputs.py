@@ -6,10 +6,12 @@ Usage: python tests/digest_outputs.py SRC_ROOT OUT
 Imports ``artigen`` from ``SRC_ROOT/src`` (a checkout of this repository),
 writes the 5-shot fixture eyeglasses dataset to ``OUT/data`` and runs, with
 ``--profile desk --seed 0`` and one BLAS thread: pretrain, finetune,
-finetune ``--pretrained``, sample ``-n 4``, sample ``--z-zero``, simulate,
-correct and eval. It then prints ``<sha256>  <path>`` for every output under
-``OUT`` except ``run.json`` (which holds a timestamp). Run it on two checkouts
-and diff the listings to see which outputs a change moved.
+finetune ``--pretrained``, finetune ``--pretrained`` of a second dataset
+(fixture seed 5, in ``OUT/data/seed5``), sample ``-n 4``, sample
+``--z-zero``, simulate, correct and eval. It then prints
+``<sha256>  <path>`` for every output under ``OUT`` except ``run.json``
+(which holds a timestamp). Run it on two checkouts and diff the listings to
+see which outputs a change moved.
 
 ``--compare`` takes the ``OUT`` trees of two such runs. For every output that
 differs it prints the path and, for JSON and OBJ files, the largest relative
@@ -108,12 +110,15 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     dataset = write_eyeglasses_dataset(out / "data", n=5, seed=0)
+    other = write_eyeglasses_dataset(out / "data/seed5", n=5, seed=5)
     ref = out / "data/glasses_01/object.json"
     model = out / "finetune/model.json"
     runs = [
         ["pretrain", dataset, out / "pretrain"],
         ["finetune", dataset, out / "finetune"],
         ["finetune", dataset, out / "finetune_pre",
+         "--pretrained", out / "pretrain/model.json"],
+        ["finetune", other, out / "finetune_cross",
          "--pretrained", out / "pretrain/model.json"],
         ["sample", model, ref, out / "sample", "-n", "4"],
         ["sample", model, ref, out / "sample_zero", "--z-zero"],

@@ -359,6 +359,74 @@ def orthogonality(bases: BasisSet) -> np.ndarray:
     return np.abs(g)
 
 
+def regularizers(bases: BasisSet) -> tuple[float, float]:
+    """(orthogonality penalty, l1 sparsity penalty)."""
+    flat = bases.bases.reshape(bases.k, -1)
+    norms = np.linalg.norm(flat, axis=1)
+    l_orth = 0.0
+    for i in range(bases.k):
+        for j in range(i + 1, bases.k):
+            r = flat[i] @ flat[j] / (norms[i] * norms[j] + _NORM_EPS)
+            l_orth += r * r
+    l_sp = np.abs(flat).sum() / flat.size
+    return float(l_orth), float(l_sp)
+
+
+def _regularizer_grad(b: np.ndarray, lambda_orth: float, lambda_sp: float) -> np.ndarray:
+    k = b.shape[0]
+    flat = b.reshape(k, -1)
+    norms = np.linalg.norm(flat, axis=1)
+    grad = np.zeros_like(flat)
+    for i in range(k):
+        for j in range(i + 1, k):
+            d = norms[i] * norms[j] + _NORM_EPS
+            s = flat[i] @ flat[j]
+            r = s / d
+            gi = flat[j] / d - (r / d) * norms[j] * flat[i] / max(norms[i], _NORM_EPS)
+            gj = flat[i] / d - (r / d) * norms[i] * flat[j] / max(norms[j], _NORM_EPS)
+            grad[i] += lambda_orth * 2.0 * r * gi
+            grad[j] += lambda_orth * 2.0 * r * gj
+    grad += lambda_sp * np.sign(flat) / flat.size
+    return grad.reshape(b.shape)
+
+
+def matching_loss_and_grad(b: np.ndarray, ops: list[DeformOperator],
+                           targets: list[np.ndarray], coeffs: list[np.ndarray],
+                           corrs: list[tuple[np.ndarray, np.ndarray]]):
+    """Mean fixed-correspondence point-matching loss over pairs and its basis gradient."""
+    k = b.shape[0]
+    loss = 0.0
+    grad = np.zeros_like(b)
+    n_pairs = len(ops)
+    for op, tgt, z, (fwd, back) in zip(ops, targets, coeffs, corrs):
+        w = op.g  # (n, N_t)
+        offsets = np.einsum("kna,k->na", b, z)  # cage offsets
+        pts = op.p0 + w @ offsets
+        r_f = pts - tgt[fwd]
+        r_b = pts[back] - tgt
+        n_src, n_tgt = len(pts), len(tgt)
+        loss += ((r_f**2).sum() / n_src + (r_b**2).sum() / n_tgt) / n_pairs
+        # d loss / d offsets, then chain to bases via the outer product with z
+        g_off = 2.0 * (w.T @ r_f) / n_src
+        g_off += 2.0 * (w[back].T @ r_b) / n_tgt
+        grad += np.einsum("na,k->kna", g_off, z) / n_pairs
+    return loss, grad
+
+
+def basis_objective_two_pass(b: np.ndarray, ops, targets, coeffs, corrs,
+                             lambda_orth: float, lambda_sp: float):
+    """``basis.basis_objective_and_grad`` as three separate passes.
+
+    The matching term, the penalty values and the penalty gradient are each
+    computed on their own, so the basis pairs are walked twice.
+    """
+    loss, grad = matching_loss_and_grad(b, ops, targets, coeffs, corrs)
+    l_orth, l_sp = regularizers(BasisSet(b))
+    loss += lambda_orth * l_orth + lambda_sp * l_sp
+    grad = grad + _regularizer_grad(b, lambda_orth, lambda_sp)
+    return loss, grad
+
+
 # ---------------------------------------------------------------------------
 # Synchronization
 

@@ -249,7 +249,7 @@ def test_metrics_and_ablation(tmp_path):
         cfg = PipelineConfig(
             k=3, gmm_components=2, finetune_outer_iters=2,
             lambda_phy=lam, seed=0,
-            fit=FitConfig(chamfer_samples=128, outer_iters=2, reg_steps=5),
+            fit=FitConfig(chamfer_samples=128, outer_iters=2),
             sim=SimConfig(n_steps=10, n_det=2, seed=0),
         )
         mp = tmp_path / f"model_{lam}.json"

@@ -16,7 +16,13 @@ from artigen.basis import (
 from artigen.cage import Cage, build_cage, weight_matrix
 from artigen.mesh import TriMesh
 from fixtures import grid_box
-from oracle import fit_coefficient_rebuilding, lsq_coefficient, orthogonality
+from oracle import (
+    basis_objective_two_pass,
+    fit_coefficient_rebuilding,
+    lsq_coefficient,
+    orthogonality,
+)
+from oracle import regularizers as regularizers_oracle
 
 OCTA = TriMesh(
     np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
@@ -156,6 +162,43 @@ def test_basis_gradient_matches_finite_differences(rng):
         fd[idx] = (op_ - om_) / (2 * h)
     rel = np.abs(grad - fd).max() / np.abs(fd).max()
     assert rel < 1e-4
+
+
+@pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1e-4, 1e-4), (1e3, 0.0)])
+@pytest.mark.parametrize("case", ["k1", "k2", "k16", "zero_basis", "collapsed"])
+def test_basis_objective_matches_two_pass_oracle(rng, case, lambdas):
+    # one pass over the basis pairs gives the same bytes as the separate
+    # matching, penalty and penalty-gradient passes
+    box = grid_box(3)
+    cage = build_cage(box)
+    k = {"k1": 1, "k2": 2}.get(case, 16)
+    b = rng.normal(scale=0.05, size=(k, 42, 3))
+    if case == "zero_basis":
+        b[3] = 0.0
+    elif case == "collapsed":
+        b *= 1e-28 / np.abs(b).max()
+    ops = [DeformOperator(cage, box, 64, seed=i) for i in range(3)]
+    targets = [rng.normal(size=(48, 3)) for _ in ops]
+    coeffs = [rng.normal(size=k) for _ in ops]
+    corrs = [(rng.integers(48, size=64), rng.integers(64, size=48)) for _ in ops]
+    cfg = FitConfig(lambda_orth=lambdas[0], lambda_sp=lambdas[1])
+    loss, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs, cfg)
+    want_loss, want_grad = basis_objective_two_pass(b, ops, targets, coeffs, corrs,
+                                                    *lambdas)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert regularizers(BasisSet(b)) == regularizers_oracle(BasisSet(b))
+
+
+def test_basis_objective_rejects_non_finite_bases(rng):
+    cage, src = small_cage()
+    b = rng.normal(size=(2, 6, 3))
+    b[1, 2, 0] = np.nan
+    op = DeformOperator(cage, src, 16, seed=0)
+    corr = (np.zeros(16, dtype=int), np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="non-finite"):
+        basis_objective_and_grad(b, [op], [op.p0[:4]], [np.ones(2)], [corr],
+                                 FitConfig())
 
 
 def test_orthogonality_pressure(rng):

