@@ -32,17 +32,59 @@ def pairwise_chamfer(gen: list[np.ndarray | cKDTree],
     return d
 
 
-def _self_chamfer(clouds: list[np.ndarray | cKDTree]) -> np.ndarray:
-    """``pairwise_chamfer(clouds, clouds)`` from its upper triangle.
+# Box lower bounds are scaled down by this factor so that rounding cannot lift
+# one above the Chamfer distance it bounds: the KD-tree squares a square-rooted
+# distance and sums the axes in its own order.
+_LB_SHRINK = 1.0 - 2.0 ** -30
 
-    Symmetric Chamfer adds the same two means in either order, so the mirror
-    is exact; the diagonal is CD(x, x) = 0.
+
+def _box_lower_bounds(trees: list[cKDTree]) -> np.ndarray:
+    """Matrix lb[i, j] <= CD(clouds i, j) from the clouds' bounding boxes.
+
+    No point of cloud j is closer to p than cloud j's box, so the mean squared
+    distance from cloud i's points to box j bounds the i-to-j Chamfer term
+    from below. Temporaries hold one cloud's points against every box.
     """
-    trees = _trees(clouds)
-    d = np.zeros((len(clouds), len(clouds)))
-    for i, j in zip(*np.triu_indices(len(clouds), 1)):
-        d[i, j] = d[j, i] = chamfer_distance(trees[i], trees[j])
-    return d
+    lo = np.array([t.mins for t in trees])
+    hi = np.array([t.maxes for t in trees])
+    one_way = np.empty((len(trees), len(trees)))
+    for i, t in enumerate(trees):
+        sq = np.zeros((len(trees), t.n))
+        for ax in range(3):
+            x = t.data[:, ax]
+            gap = np.maximum(lo[:, ax, None] - x, x - hi[:, ax, None])
+            np.maximum(gap, 0.0, out=gap)
+            sq += gap * gap
+        # a mean over points, like chamfer_distance's, of per-point sums
+        one_way[i] = sq.mean(axis=1)
+    return (one_way + one_way.T) * _LB_SHRINK
+
+
+def _has_closer_own(trees: list[cKDTree], other: np.ndarray,
+                    ties_win: bool) -> np.ndarray:
+    """Whether each cloud has another cloud of its own set closer than other[i].
+
+    With ``ties_win`` a cloud at exactly other[i] counts too. Candidates are
+    visited by ascending box lower bound; the search stops at the first hit or
+    once the bound exceeds other[i]. Each pair's Chamfer distance is computed
+    at most once.
+    """
+    lb = _box_lower_bounds(trees)
+    cache: dict[tuple[int, int], float] = {}
+    found = np.zeros(len(trees), dtype=bool)
+    for i, bound in enumerate(other):
+        for j in np.argsort(lb[i], kind="stable"):
+            if j == i:
+                continue
+            if lb[i, j] > bound:
+                break
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                cache[key] = chamfer_distance(trees[key[0]], trees[key[1]])
+            if cache[key] < bound or (ties_win and cache[key] == bound):
+                found[i] = True
+                break
+    return found
 
 
 def mmd(gen: list[np.ndarray], ref: list[np.ndarray],
@@ -72,18 +114,20 @@ def one_nna(gen: list[np.ndarray | cKDTree], ref: list[np.ndarray | cKDTree],
 
     Ties are broken toward the lowest pooled index (generations first).
     0.5 means the two sets are indistinguishable to the classifier. Clouds
-    may be passed as KD-trees built on them.
+    may be passed as KD-trees built on them. Only the Chamfer pairs that
+    decide a neighbour's label are computed; the result is the one the full
+    pooled distance table gives.
     """
     if not gen or not ref:
         raise ValueError("one_nna needs non-empty sets")
+    gen_trees, ref_trees = _trees(gen), _trees(ref)
     if d is None:
-        d = pairwise_chamfer(gen, ref)
-    # symmetric Chamfer: the ref-gen block is the gen-ref block transposed
-    full = np.block([[_self_chamfer(gen), d], [d.T, _self_chamfer(ref)]])
-    labels = np.array([0] * len(gen) + [1] * len(ref))
-    np.fill_diagonal(full, np.inf)
-    nearest = full.argmin(axis=1)  # argmin takes the lowest index on ties
-    correct = labels[nearest] == labels
+        d = pairwise_chamfer(gen_trees, ref_trees)
+    # d holds each cloud's nearest cloud of the other set, so a cloud is
+    # classified correctly iff a cloud of its own set is nearer; on a tie a
+    # generation wins, having the lower pooled index
+    correct = np.concatenate([_has_closer_own(gen_trees, d.min(axis=1), True),
+                              _has_closer_own(ref_trees, d.min(axis=0), False)])
     return float(correct.mean())
 
 

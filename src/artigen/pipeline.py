@@ -540,7 +540,15 @@ def _load_generated(gen_dir) -> tuple[list[TriMesh], float | None]:
     apd = None
     report = gen_dir / "samples_report.json"
     if report.exists():
-        apd = float(json.loads(report.read_text())["mean_apd_after"])
+        try:
+            rec = json.loads(report.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise PipelineError(f"{report}: invalid JSON: {e}") from e
+        apd = rec.get("mean_apd_after") if isinstance(rec, dict) else None
+        if isinstance(apd, bool) or not isinstance(apd, (int, float)):
+            raise PipelineError(f"{report}: 'mean_apd_after' must be a number, "
+                                f"got {apd!r}")
+        apd = float(apd)
     return meshes, apd
 
 

@@ -8,7 +8,8 @@ writes the 5-shot fixture eyeglasses dataset to ``OUT/data`` and runs, with
 ``--profile desk --seed 0`` and one BLAS thread: pretrain, finetune,
 finetune ``--pretrained``, finetune ``--pretrained`` of a second dataset
 (fixture seed 5, in ``OUT/data/seed5``), sample ``-n 4``, sample
-``--z-zero``, simulate, correct and eval. It then prints
+``--z-zero``, simulate, correct, and eval of both sample sets (the
+``--z-zero`` set is 40 copies of one shape). It then prints
 ``<sha256>  <path>`` for every output under ``OUT`` except ``run.json``
 (which holds a timestamp). Run it on two checkouts and diff the listings to
 see which outputs a change moved.
@@ -125,6 +126,7 @@ def main(argv: list[str]) -> int:
         ["simulate", ref, out / "simulate"],
         ["correct", model, ref, out / "correct"],
         ["eval", out / "sample", dataset, out / "eval"],
+        ["eval", out / "sample_zero", dataset, out / "eval_zero"],
     ]
     with contextlib.redirect_stdout(sys.stderr):      # keep stdout to digests
         for run in runs:

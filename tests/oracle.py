@@ -14,6 +14,7 @@ from artigen import physics
 from artigen.basis import BasisSet, CoeffFit, DeformOperator, chamfer_distance
 from artigen.cage import Cage
 from artigen.mesh import Joint, TriMesh, merge_meshes
+from artigen.metrics import _trees, pairwise_chamfer
 from artigen.physics import (
     _BARY_TOL,
     CollisionReport,
@@ -509,3 +510,29 @@ def apd(reports) -> float:
     if not vals:
         raise ValueError("apd needs at least one report")
     return float(np.mean(vals))
+
+
+def self_chamfer(clouds) -> np.ndarray:
+    """``pairwise_chamfer(clouds, clouds)`` from its upper triangle.
+
+    Symmetric Chamfer adds the same two means in either order, so the mirror
+    is exact; the diagonal is CD(x, x) = 0.
+    """
+    trees = _trees(clouds)
+    d = np.zeros((len(clouds), len(clouds)))
+    for i, j in zip(*np.triu_indices(len(clouds), 1)):
+        d[i, j] = d[j, i] = chamfer_distance(trees[i], trees[j])
+    return d
+
+
+def one_nna_full_table(gen, ref, d: np.ndarray | None = None) -> float:
+    """1-NNA as the argmin of every row of the pooled Chamfer table."""
+    if d is None:
+        d = pairwise_chamfer(gen, ref)
+    # symmetric Chamfer: the ref-gen block is the gen-ref block transposed
+    full = np.block([[self_chamfer(gen), d], [d.T, self_chamfer(ref)]])
+    labels = np.array([0] * len(gen) + [1] * len(ref))
+    np.fill_diagonal(full, np.inf)
+    nearest = full.argmin(axis=1)  # argmin takes the lowest index on ties
+    correct = labels[nearest] == labels
+    return float(correct.mean())

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from artigen import metrics
 from artigen.basis import chamfer_distance
 from artigen.metrics import (
     EvalResult,
-    _self_chamfer,
+    _box_lower_bounds,
+    _trees,
     cov,
     evaluate,
     jsd,
@@ -15,7 +18,7 @@ from artigen.metrics import (
     pairwise_chamfer,
 )
 from artigen.physics import CollisionReport
-from oracle import apd
+from oracle import apd, one_nna_full_table, self_chamfer
 
 
 def _clouds(rng, n_sets, n_pts=30, shift=0.0):
@@ -57,8 +60,8 @@ def test_pairwise_matrix_matches_direct(rng):
     for i in range(3):
         for j in range(4):
             assert d[i, j] == chamfer_distance(gen[i], ref[j])
-    # one_nna's gen-gen block is built from its upper triangle
-    np.testing.assert_array_equal(_self_chamfer(ref), pairwise_chamfer(ref, ref))
+    # the 1-NNA oracle's gen-gen block is built from its upper triangle
+    np.testing.assert_array_equal(self_chamfer(ref), pairwise_chamfer(ref, ref))
 
 
 def test_mmd_matches_brute_force(rng):
@@ -97,6 +100,80 @@ def test_one_nna_tie_break_prefers_lower_index(rng):
     b = rng.normal(size=(20, 3)) + 4.0
     val = one_nna([a, b], [np.array(a), np.array(b)])
     assert val == 0.0
+
+
+def _layout_clouds(layout, rng, n, n_pts):
+    """Base clouds: far-apart clusters, or clouds that all span one cube."""
+    if layout == "separated":
+        centers = 10.0 * rng.integers(0, 3, size=(n, 3))
+        return [centers[k] + 0.1 * rng.normal(size=(n_pts, 3)) for k in range(n)]
+    # the cube's corners in every cloud make every box the same: no bound prunes
+    corners = np.array(np.meshgrid([0.0, 1.0], [0.0, 1.0], [0.0, 1.0])).reshape(3, -1).T
+    return [np.vstack([corners, rng.uniform(size=(n_pts, 3))]) for _ in range(n)]
+
+
+@pytest.mark.parametrize("layout", ["separated", "overlapping"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                       st.lists(st.integers(0, 5), min_size=1, max_size=8)),
+       n_pts=st.integers(1, 12), scale=st.sampled_from([1.0, 1e-150, 1e150]),
+       offset=st.sampled_from([0.0, 1e6]), precomputed=st.booleans())
+def test_one_nna_matches_full_table(layout, seed, picks, n_pts, scale, offset,
+                                    precomputed):
+    # repeated picks copy a base cloud within and across the sets: exact ties
+    base = [c * scale + offset
+            for c in _layout_clouds(layout, np.random.default_rng(seed), 6, n_pts)]
+    gen, ref = ([np.array(base[k]) for k in ks] for ks in picks)
+    d = pairwise_chamfer(gen, ref) if precomputed else None
+    assert one_nna(gen, ref, d) == one_nna_full_table(gen, ref, d)
+
+
+@pytest.mark.parametrize("layout", ["separated", "overlapping"])
+def test_one_nna_with_one_generation_or_one_reference(rng, layout):
+    clouds = _layout_clouds(layout, rng, 6, 8)
+    for gen, ref in ((clouds[:1], clouds[1:]), (clouds[1:], clouds[:1]),
+                     (clouds[:1], clouds[1:2]), (clouds[:1], [np.array(clouds[0])])):
+        assert one_nna(gen, ref) == one_nna_full_table(gen, ref)
+
+
+def test_one_nna_prunes_separated_clusters(rng, monkeypatch):
+    centers = 10.0 * np.arange(5)[:, None] * np.ones(3)
+    gen = [centers[k % 5] + 0.1 * rng.normal(size=(20, 3)) for k in range(30)]
+    ref = [centers[k] + 0.1 * rng.normal(size=(20, 3)) for k in range(5)]
+    d = pairwise_chamfer(gen, ref)
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return chamfer_distance(p, q)
+
+    monkeypatch.setattr(metrics, "chamfer_distance", counting)
+    got = one_nna(gen, ref, d)
+    monkeypatch.undo()
+    assert got == one_nna_full_table(gen, ref, d)
+    # the full table computes every same-set pair
+    assert 0 < len(calls) < 30 * 29 // 2 + 5 * 4 // 2
+
+
+@pytest.mark.parametrize("case", ["random", "one_point", "coincident", "flat",
+                                  "offset", "tiny", "huge"])
+def test_box_lower_bound_below_chamfer(rng, case):
+    n_pts = 1 if case == "one_point" else 16
+    clouds = [rng.normal(size=(n_pts, 3)) + rng.normal(size=3) for _ in range(40)]
+    if case == "coincident":
+        clouds = [np.repeat(c[:1], n_pts, axis=0) for c in clouds]
+    elif case == "flat":
+        for c in clouds:
+            c[:, 2] = 0.5
+    elif case == "offset":
+        clouds = [c + 1e6 for c in clouds]
+    elif case in ("tiny", "huge"):
+        clouds = [c * (1e-150 if case == "tiny" else 1e150) for c in clouds]
+    trees = _trees(clouds)
+    lb = _box_lower_bounds(trees)
+    cd = np.array([[chamfer_distance(p, q) for q in trees] for p in trees])
+    assert np.all(lb <= cd)
 
 
 def test_jsd_disjoint_supports(rng):

@@ -345,6 +345,19 @@ def test_eval_identical_populations(workdir, tmp_path):
     assert "MMD (x1e3)" in rep["table"]
 
 
+@pytest.mark.parametrize("text", ["{not json", '{"n": 2}', '{"mean_apd_after": null}',
+                                  '{"mean_apd_after": "0.1"}', "[0.1]"])
+def test_eval_rejects_corrupt_samples_report(workdir, tmp_path, text):
+    root, ds = workdir
+    loaded = load_dataset(ds)
+    save_obj(merge_meshes([p.merged() for p in loaded.objects[0].parts]),
+             tmp_path / "sample_000.obj")
+    report = tmp_path / "samples_report.json"
+    report.write_text(text)
+    with pytest.raises(PipelineError, match=re.escape(str(report))):
+        cmd_eval(tmp_path, ds, tiny_config())
+
+
 def test_eval_requires_obj_files(workdir, tmp_path):
     _, ds = workdir
     with pytest.raises(PipelineError, match="no .obj files"):
