@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cage import Cage
-from .mesh import TriMesh, sample_surface
+from .mesh import TriMesh, _surface_draw, sample_surface
 
 _NORM_EPS = 1e-12
 # gradient steps on the regularized objective per outer iteration, and the
@@ -86,12 +86,7 @@ class DeformOperator:
     """
 
     def __init__(self, cage: Cage, source: TriMesh, n_samples: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        areas = source.face_areas()
-        fidx = rng.choice(source.n_faces, size=n_samples, p=areas / areas.sum())
-        r1 = np.sqrt(rng.random(n_samples))
-        r2 = rng.random(n_samples)
-        bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+        fidx, bary = _surface_draw(source, n_samples, seed)
         corners = source.faces[fidx]  # (n, 3)
         self.p0 = np.einsum("nc,nca->na", bary, source.vertices[corners])
         # weight of each sample w.r.t. cage vertices

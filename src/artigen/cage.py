@@ -176,8 +176,7 @@ def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
 # Cage construction
 
 
-def build_cage(convex: TriMesh, template: TriMesh | None = None,
-               epsilon: float = 0.05) -> Cage:
+def build_cage(convex: TriMesh, epsilon: float = 0.05) -> Cage:
     """Fit the template sphere around a convex and compute its weight matrix.
 
     The template is scaled to 1.05x the convex bounding-sphere radius and
@@ -185,8 +184,7 @@ def build_cage(convex: TriMesh, template: TriMesh | None = None,
     distinct convex vertex by minimum-cost assignment and retracted towards it
     by a factor (1 - epsilon).
     """
-    if template is None:
-        template = cage_template()
+    template = cage_template()
     if convex.n_vertices == 0:
         raise ValueError("empty convex")
     centroid = convex.vertices.mean(axis=0)

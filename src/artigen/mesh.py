@@ -326,8 +326,8 @@ def articulate(mesh: TriMesh, joint: Joint, state: float) -> TriMesh:
 # Surface sampling
 
 
-def sample_surface(mesh: TriMesh, n: int, seed=0) -> np.ndarray:
-    """Draw n area-weighted points on the surface. Deterministic per seed."""
+def _surface_draw(mesh: TriMesh, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Face index (n,) and barycentric weights (n, 3) of n area-weighted draws."""
     if n < 1:
         raise MeshError("n must be >= 1")
     areas = mesh.face_areas()
@@ -336,11 +336,15 @@ def sample_surface(mesh: TriMesh, n: int, seed=0) -> np.ndarray:
         raise MeshError("mesh has zero total surface area")
     rng = np.random.default_rng(seed)
     fidx = rng.choice(len(areas), size=n, p=areas / total)
-    tri = mesh.vertices[mesh.faces[fidx]]
     # uniform barycentric via the sqrt trick
     r1 = np.sqrt(rng.random(n))
     r2 = rng.random(n)
-    w0 = 1.0 - r1
-    w1 = r1 * (1.0 - r2)
-    w2 = r1 * r2
-    return w0[:, None] * tri[:, 0] + w1[:, None] * tri[:, 1] + w2[:, None] * tri[:, 2]
+    return fidx, np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+
+
+def sample_surface(mesh: TriMesh, n: int, seed=0) -> np.ndarray:
+    """Draw n area-weighted points on the surface. Deterministic per seed."""
+    fidx, bary = _surface_draw(mesh, n, seed)
+    tri = mesh.vertices[mesh.faces[fidx]]
+    return (bary[:, 0, None] * tri[:, 0] + bary[:, 1, None] * tri[:, 1]
+            + bary[:, 2, None] * tri[:, 2])

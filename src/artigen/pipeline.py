@@ -226,7 +226,9 @@ class Model:
 
 
 def save_model(model: Model, path) -> None:
-    Path(path).write_text(json.dumps(model.to_dict()))
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(model.to_dict()))
 
 
 def load_model(path) -> Model:
@@ -459,11 +461,13 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
                n: int | None = None, seed: int | None = None,
                z_zero: bool = False) -> dict:
     """Draw coefficients, synthesize meshes, apply test-time correction."""
+    n = n if n is not None else cfg.n_samples_per_reference
+    if n < 1:
+        raise PipelineError(f"sample count must be at least 1, got {n}")
     model = load_model(model_path)
     reference = load_manifest(reference_path)
     if model.gmm is None or model.sync is None:
         raise PipelineError("model is not fine-tuned (missing sync/GMM state)")
-    n = n if n is not None else cfg.n_samples_per_reference
     seed = seed if seed is not None else cfg.seed
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

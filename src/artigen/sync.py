@@ -10,8 +10,6 @@ from .basis import BasisSet
 
 # singular values at or below this fraction of the largest count as zero
 _RCOND = 1e-10
-# alternation steps run when the closed form cannot interpolate (rank Z < |A|)
-_FALLBACK_ITERS = 100
 
 
 @dataclass
@@ -71,46 +69,33 @@ def optimize_sync_matrices(global_coeffs: np.ndarray, y: np.ndarray) -> list[np.
     return [y_m.T @ z_pinv for y_m in np.asarray(y, dtype=np.float64)]
 
 
-def optimize_global_coeff(s_matrices: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """Per target i, the mean over convexes of the min-norm solution of S_m z = y_m^i.
-
-    ``y`` is (M, |A|, K): the coefficient of each convex for each target mesh.
-    Returns the (|A|, K) global coefficients; each S matrix is pseudo-inverted
-    once for all targets.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if len(s_matrices) != y.shape[0] or len(s_matrices) == 0:
-        raise ValueError("one S matrix per convex required")
-    return np.mean([y_m @ np.linalg.pinv(s, rcond=_RCOND).T
-                    for s, y_m in zip(s_matrices, y)], axis=0)
-
-
 def synchronize(bases: list[BasisSet], y: np.ndarray) -> SyncState:
     """Global coefficients and S matrices that map them onto every convex.
 
     ``y`` is (M, |A|, K). The global coefficients are the cross-convex mean
     of ``y`` and S_m = Y_m Z^+, which solves S_m Z = Y_m exactly whenever Z
-    has rank |A|. Otherwise (for generic data, |A| > K) the S and z updates
-    alternate for ``_FALLBACK_ITERS`` steps, and the state with the lowest
-    objective is returned. The history holds the objective at identity S,
-    after the closed form, and after each alternation step.
+    has rank |A|. With more targets than bases (|A| > K) no rank-K Z fits
+    every Y_m, so each Y_m is first projected onto the top K left singular
+    vectors of the targets' stacked cage offsets [Y_1 B_1, ..., Y_M B_M], an
+    (|A|, M*3N_t) matrix. By Eckart-Young that is the best rank-K fit of those
+    offsets, so whenever the projected mean Z has rank K the result
+    minimizes sum_m ||(S_m Z - Y_m)^T B_m||_F^2. The history holds the
+    objective against the original ``y``: at identity S with the mean of
+    ``y``, and at the result.
     """
     y = np.asarray(y, dtype=np.float64)
     m_count, n_targets, k = y.shape
     z = y.mean(axis=0)  # (|A|, K)
     history = [sync_objective(bases, [np.eye(k)] * m_count, z, y)]
-    s_matrices = optimize_sync_matrices(z, y)
+    fit = y
+    if n_targets > k:
+        offsets = np.hstack([y_m @ b.bases.reshape(k, -1)
+                             for b, y_m in zip(bases, y)])
+        u = np.linalg.svd(offsets, full_matrices=False)[0][:, :k]
+        fit = u @ (u.T @ y)
+        z = fit.mean(axis=0)
+    s_matrices = optimize_sync_matrices(z, fit)
     history.append(sync_objective(bases, s_matrices, z, y))
-    sv = np.linalg.svd(z, compute_uv=False)
-    if np.count_nonzero(sv > _RCOND * sv.max(initial=0.0)) < n_targets:
-        best = (history[-1], s_matrices, z)
-        for _ in range(_FALLBACK_ITERS):
-            z = optimize_global_coeff(s_matrices, y)
-            s_matrices = optimize_sync_matrices(z, y)
-            history.append(sync_objective(bases, s_matrices, z, y))
-            if history[-1] < best[0]:
-                best = (history[-1], s_matrices, z)
-        _, s_matrices, z = best
     return SyncState(s_matrices=s_matrices, global_coeffs=z,
                      objective_history=history)
 

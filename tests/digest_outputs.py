@@ -7,7 +7,8 @@ Imports ``artigen`` from ``SRC_ROOT/src`` (a checkout of this repository),
 writes the 5-shot fixture eyeglasses dataset to ``OUT/data`` and runs, with
 ``--profile desk --seed 0`` and one BLAS thread: pretrain, finetune,
 finetune ``--pretrained``, finetune ``--pretrained`` of a second dataset
-(fixture seed 5, in ``OUT/data/seed5``), sample ``-n 4``, sample
+(fixture seed 5, in ``OUT/data/seed5``), finetune with ``--config`` setting
+``k`` to 3 (so the 4 targets outnumber the bases), sample ``-n 4``, sample
 ``--z-zero``, simulate, correct, and eval of both sample sets (the
 ``--z-zero`` set is 40 copies of one shape). It then prints
 ``<sha256>  <path>`` for every output under ``OUT`` except ``run.json``
@@ -113,6 +114,8 @@ def main(argv: list[str]) -> int:
     dataset = write_eyeglasses_dataset(out / "data", n=5, seed=0)
     other = write_eyeglasses_dataset(out / "data/seed5", n=5, seed=5)
     ref = out / "data/glasses_01/object.json"
+    k3 = out / "data/k3.json"
+    k3.write_text(json.dumps({"k": 3}))
     model = out / "finetune/model.json"
     runs = [
         ["pretrain", dataset, out / "pretrain"],
@@ -121,6 +124,7 @@ def main(argv: list[str]) -> int:
          "--pretrained", out / "pretrain/model.json"],
         ["finetune", other, out / "finetune_cross",
          "--pretrained", out / "pretrain/model.json"],
+        ["--config", k3, "finetune", dataset, out / "finetune_k3"],
         ["sample", model, ref, out / "sample", "-n", "4"],
         ["sample", model, ref, out / "sample_zero", "--z-zero"],
         ["simulate", ref, out / "simulate"],

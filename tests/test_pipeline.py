@@ -304,6 +304,62 @@ def test_sample_one(finetuned, workdir, tmp_path):
     assert (tmp_path / "sample_000.obj").exists()
 
 
+def test_sample_rejects_count_below_one(finetuned, workdir, tmp_path):
+    from artigen.cli import main
+
+    _, model_path = finetuned
+    root, _ = workdir
+    ref = root / "data" / "glasses_01" / "object.json"
+    # the count is checked before the model is read
+    for n in (0, -1):
+        with pytest.raises(PipelineError, match="at least 1, got"):
+            cmd_sample(tmp_path / "missing.json", ref, tmp_path / "lib",
+                       tiny_config(), n=n)
+    cfg = replace(tiny_config(), n_samples_per_reference=0)
+    with pytest.raises(PipelineError, match="at least 1, got 0"):
+        cmd_sample(model_path, ref, tmp_path / "lib", cfg)
+    assert not (tmp_path / "lib").exists()
+    with pytest.raises(PipelineError, match="at least 1, got 0"):
+        main(["sample", str(model_path), str(ref), str(tmp_path / "cli"), "-n", "0"])
+    run = json.loads((tmp_path / "cli" / "run.json").read_text())
+    assert run["status"] == "error" and run["error"].startswith("PipelineError: ")
+
+
+def test_save_model_creates_missing_directories(pretrained, tmp_path):
+    model, path = pretrained
+    out = tmp_path / "x" / "y" / "model.json"
+    save_model(model, out)
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_finetune_more_targets_than_bases(tmp_path):
+    from artigen.sync import sync_objective
+    from oracle import synchronize_per_target
+
+    # 5 shots at K = 3: the 4 targets outnumber the bases, so synchronization
+    # first projects the coefficients onto the best rank-3 fit of the stacked
+    # cage offsets
+    ds = write_eyeglasses_dataset(tmp_path / "data", n=5, seed=0)
+    cfg = replace(tiny_config(), finetune_outer_iters=1)
+    path = tmp_path / "k3" / "model.json"  # its directory does not exist yet
+    model = cmd_finetune(ds, path, cfg)
+    bases = [c.bases for c in model.convexes]
+    y = np.stack([c.coeffs for c in model.convexes])
+    assert y.shape[1:] == (4, 3)
+    h = model.sync.objective_history
+    assert len(h) == 2 and h[1] < h[0]
+    assert h[1] == sync_objective(bases, model.sync.s_matrices,
+                                  model.sync.global_coeffs, y)
+    _, _, oracle_history = synchronize_per_target(bases, y)
+    assert h[1] <= min(oracle_history[1:])
+    assert load_model(path).sync.objective_history == h
+    rep = cmd_sample(path, tmp_path / "data" / "glasses_01" / "object.json",
+                     tmp_path / "samples", cfg, n=3, seed=1)
+    assert [s["file"] for s in rep["samples"]] == [
+        f"sample_{i:03d}.obj" for i in range(3)]
+    assert all(len(s["z"]) == 3 for s in rep["samples"])
+
+
 def test_sample_one_part_reference(finetuned, workdir, tmp_path):
     # every convex in one fixed part: nothing can collide, so correction
     # keeps the draw and both APDs are zero
