@@ -11,6 +11,7 @@ from .cage import Cage
 from .mesh import TriMesh, _surface_draw, sample_surface
 
 _NORM_EPS = 1e-12
+_ICP_TOL = 1e-8
 # gradient steps on the regularized objective per outer iteration, and the
 # first step size; each step grows it by 1.2 when taken, halves it otherwise
 _REG_STEPS = 25
@@ -126,8 +127,7 @@ def _chamfer_and_match(points: np.ndarray, target_tree: cKDTree):
 
 
 def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarray,
-                    tol: float = 1e-8, max_rounds: int = 50,
-                    z0: np.ndarray | None = None) -> CoeffFit:
+                    max_rounds: int = 50, z0: np.ndarray | None = None) -> CoeffFit:
     """Fit z minimizing Chamfer distance to the target samples.
 
     Alternates nearest-neighbour correspondence freezing with the closed-form
@@ -171,7 +171,7 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
             improvement = best_cd - cd_new
             best_cd, best_z, best_corr = cd_new, z_new, (fwd, back)
             history.append(best_cd)
-            if improvement < tol:
+            if improvement < _ICP_TOL:
                 converged = True
                 break
         else:
@@ -403,6 +403,8 @@ class GaussianMixture:
 
 
 _VAR_FLOOR = 1e-6
+_EM_ITERS = 100
+_EM_TOL = 1e-8
 
 
 def _kmeans(x: np.ndarray, n: int, rng: np.random.Generator, iters: int = 25):
@@ -418,8 +420,7 @@ def _kmeans(x: np.ndarray, n: int, rng: np.random.Generator, iters: int = 25):
     return centers, labels
 
 
-def fit_gmm(coeffs: np.ndarray, n_components: int = 3, seed: int = 0,
-            max_iters: int = 100, tol: float = 1e-8) -> GaussianMixture:
+def fit_gmm(coeffs: np.ndarray, n_components: int = 3, seed: int = 0) -> GaussianMixture:
     """EM fit of a diagonal Gaussian mixture, k-means initialized."""
     x = np.asarray(coeffs, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -439,7 +440,7 @@ def fit_gmm(coeffs: np.ndarray, n_components: int = 3, seed: int = 0,
     variances = np.maximum(variances, _VAR_FLOOR)
 
     prev_ll = -np.inf
-    for _ in range(max_iters):
+    for _ in range(_EM_ITERS):
         # E step in log space
         log_p = (
             -0.5 * (((x[:, None, :] - means[None]) ** 2) / variances[None]).sum(axis=2)
@@ -456,7 +457,7 @@ def fit_gmm(coeffs: np.ndarray, n_components: int = 3, seed: int = 0,
         variances = (resp.T @ (x**2)) / nk[:, None] - means**2
         variances = np.maximum(variances, _VAR_FLOOR)
         weights = nk / nk.sum()
-        if abs(ll - prev_ll) < tol:
+        if abs(ll - prev_ll) < _EM_TOL:
             break
         prev_ll = ll
     return GaussianMixture(means=means, variances=variances, weights=weights)

@@ -17,6 +17,7 @@ _MVC_BYTES = 2 << 20
 # those temporaries per point and cage face at their peak: 37 float64 (23 KiB
 # per point on the 80-face template)
 _MVC_FACE_BYTES = 37 * 8
+CAGE_EPSILON = 0.05
 
 
 @functools.cache
@@ -176,13 +177,13 @@ def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
 # Cage construction
 
 
-def build_cage(convex: TriMesh, epsilon: float = 0.05) -> Cage:
+def build_cage(convex: TriMesh) -> Cage:
     """Fit the template sphere around a convex and compute its weight matrix.
 
     The template is scaled to 1.05x the convex bounding-sphere radius and
     centered on the convex centroid; each template vertex is then matched to a
     distinct convex vertex by minimum-cost assignment and retracted towards it
-    by a factor (1 - epsilon).
+    by a factor (1 - CAGE_EPSILON).
     """
     template = cage_template()
     if convex.n_vertices == 0:
@@ -205,7 +206,7 @@ def build_cage(convex: TriMesh, epsilon: float = 0.05) -> Cage:
     cost = np.linalg.norm(tverts[:, None, :] - targets[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     matched = targets[cols[np.argsort(rows)]]
-    cverts = tverts + (1.0 - epsilon) * (matched - tverts)
+    cverts = tverts + (1.0 - CAGE_EPSILON) * (matched - tverts)
     cage_mesh = TriMesh(cverts, template.faces)
     phi = weight_matrix(convex.vertices, cage_mesh)
     return Cage(mesh=cage_mesh, phi=phi)

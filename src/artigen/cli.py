@@ -14,7 +14,7 @@ import numpy as np
 import scipy
 
 from . import __version__, pipeline
-from .pipeline import PipelineConfig, apply_overrides, desk_profile
+from .pipeline import PipelineConfig, PipelineError, apply_overrides, desk_profile
 
 
 def _load_config_file(path) -> dict:
@@ -23,8 +23,14 @@ def _load_config_file(path) -> dict:
     if path.suffix == ".toml":
         import tomllib
 
-        return tomllib.loads(text)
-    return json.loads(text)
+        try:
+            return tomllib.loads(text)
+        except tomllib.TOMLDecodeError as e:
+            raise PipelineError(f"{path}: invalid TOML: {e}") from e
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise PipelineError(f"{path}: invalid JSON: {e}") from e
 
 
 def _build_config(args) -> PipelineConfig:
@@ -89,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("reference", help="reference object manifest")
     p.add_argument("out")
-    p.add_argument("-n", type=int, default=None)
+    p.add_argument("-n", type=int, default=pipeline.SAMPLES_PER_REFERENCE)
     p.add_argument("--z-zero", action="store_true",
                    help="force zero coefficients (identity deformation)")
 
@@ -162,10 +168,8 @@ def _run_command(args, cfg: PipelineConfig, out: Path) -> None:
         print(result["table"])
 
     elif args.command == "correct":
-        z = None
-        if args.z_file:
-            z = np.array(json.loads(Path(args.z_file).read_text()))
-        result = pipeline.cmd_correct(args.model, args.reference, cfg, z=z,
+        result = pipeline.cmd_correct(args.model, args.reference, cfg,
+                                      z_path=args.z_file,
                                       out_path=out / "corrected.obj")
         (out / "correct.json").write_text(json.dumps(result, indent=2))
         print(f"L_phy {result['before']['l_phy']:.6e} -> "

@@ -131,6 +131,9 @@ def one_nna(gen: list[np.ndarray | cKDTree], ref: list[np.ndarray | cKDTree],
     return float(correct.mean())
 
 
+_JSD_RESOLUTION = 28  # voxels per axis of the JSD occupancy grid
+
+
 def _voxel_histogram(points_list: list[np.ndarray], lo: np.ndarray, hi: np.ndarray,
                      res: int) -> np.ndarray:
     """Occupancy frequency per voxel, averaged over the set's clouds."""
@@ -146,7 +149,7 @@ def _voxel_histogram(points_list: list[np.ndarray], lo: np.ndarray, hi: np.ndarr
     return occ / total if total > 0 else occ
 
 
-def jsd(gen: list[np.ndarray], ref: list[np.ndarray], resolution: int = 28) -> float:
+def jsd(gen: list[np.ndarray], ref: list[np.ndarray]) -> float:
     """Jensen-Shannon divergence (base 2) between voxel occupancy histograms.
 
     The voxel grid spans the joint axis-aligned bounding cube of both sets.
@@ -159,8 +162,8 @@ def jsd(gen: list[np.ndarray], ref: list[np.ndarray], resolution: int = 28) -> f
     half = (hi - lo).max() / 2
     lo = center - half
     hi = center + half
-    p = _voxel_histogram(gen, lo, hi, resolution)
-    q = _voxel_histogram(ref, lo, hi, resolution)
+    p = _voxel_histogram(gen, lo, hi, _JSD_RESOLUTION)
+    q = _voxel_histogram(ref, lo, hi, _JSD_RESOLUTION)
     m = (p + q) / 2
 
     def _kl(a, b):
@@ -195,9 +198,9 @@ class EvalResult:
 
 
 def evaluate(gen: list[np.ndarray], ref: list[np.ndarray],
-             apd_value: float | None = None, resolution: int = 28) -> EvalResult:
+             apd_value: float | None = None) -> EvalResult:
     # JSD first, so its voxel temporaries are gone before the trees are built
-    div = jsd(gen, ref, resolution)
+    div = jsd(gen, ref)
     # one KD-tree per cloud serves both the gen x ref block and 1-NNA
     gen_trees, ref_trees = _trees(gen), _trees(ref)
     d = pairwise_chamfer(gen_trees, ref_trees)

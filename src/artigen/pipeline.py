@@ -18,14 +18,13 @@ from .basis import (
     sample_gmm,
     stalled,
 )
-from .cage import Cage, build_cage, smooth_weights
+from .cage import CAGE_EPSILON, Cage, build_cage, smooth_weights
 from .mesh import (ArticulatedObject, TriMesh, load_manifest, load_obj,
                    merge_meshes, sample_surface, save_obj)
 from .metrics import evaluate
 from .physics import (
     DeformableObject,
     DeformablePart,
-    ProjConfig,
     SimConfig,
     TEST_PROJ,
     TRAIN_PROJ,
@@ -43,19 +42,13 @@ class PipelineError(ValueError):
 @dataclass
 class PipelineConfig:
     k: int = 16
-    n_samples_per_reference: int = 40
-    gmm_components: int = 3
     lambda_phy: float = 1.0
     finetune_outer_iters: int = 10
-    blend_radius_rel: float = 0.05   # smooth-layer radius as a bbox-diagonal fraction
     eval_points: int = 4096
-    epsilon: float = 0.05
     seed: int = 0
     jobs: int = 1
     fit: FitConfig = field(default_factory=FitConfig)
     sim: SimConfig = field(default_factory=SimConfig)
-    proj_train: ProjConfig = field(default_factory=lambda: replace(TRAIN_PROJ))
-    proj_test: ProjConfig = field(default_factory=lambda: replace(TEST_PROJ))
 
 
 def desk_profile(cfg: PipelineConfig | None = None) -> PipelineConfig:
@@ -71,18 +64,26 @@ def apply_overrides(cfg, rec: dict, where: str = ""):
     """Return ``cfg`` with the overrides from a config file applied.
 
     Nested dicts override nested config blocks field by field; those blocks
-    are rebuilt with ``replace`` so their own validation runs again.
+    are rebuilt with ``replace`` so their own validation runs again. A value
+    must have the type of the field's default, except that an int may set a
+    float.
     """
+    if not isinstance(rec, dict):
+        what = f"config key {where[:-1]!r}" if where else "a config file"
+        raise PipelineError(f"{what} needs a table, got {type(rec).__name__}")
+    defaults = type(cfg)()
     names = {f.name for f in fields(cfg)}
     changes = {}
     for key, val in rec.items():
         if key not in names:
             raise PipelineError(f"unknown config key {where + key!r}")
-        cur = getattr(cfg, key)
-        if is_dataclass(cur):
-            if not isinstance(val, dict):
-                raise PipelineError(f"config key {where + key!r} needs a table")
-            val = apply_overrides(cur, val, f"{where}{key}.")
+        default = getattr(defaults, key)
+        if is_dataclass(default):
+            val = apply_overrides(getattr(cfg, key), val, f"{where}{key}.")
+        elif type(val) not in ((int, float) if type(default) is float
+                               else (type(default),)):
+            raise PipelineError(f"config key {where + key!r} must be of type "
+                                f"{type(default).__name__}, got {val!r}")
         changes[key] = val
     return replace(cfg, **changes)
 
@@ -97,13 +98,17 @@ class Dataset:
     paths: list[str]
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise PipelineError(f"{path}: invalid JSON: {e}") from e
+
+
 def load_dataset(path) -> Dataset:
     """A dataset manifest is a JSON list of object manifests."""
     path = Path(path)
-    try:
-        rec = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise PipelineError(f"{path}: invalid JSON: {e}") from e
+    rec = _read_json(path)
     if not isinstance(rec, dict):
         raise PipelineError(f"{path}: top level must be a JSON object, got {rec!r}")
     entries = rec.get("objects")
@@ -167,7 +172,6 @@ class ConvexModel:
 @dataclass
 class Model:
     k: int
-    epsilon: float
     convexes: list[ConvexModel]
     sync: SyncState | None = None
     gmm: GaussianMixture | None = None
@@ -177,7 +181,6 @@ class Model:
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "epsilon": self.epsilon,
             "source_manifest": self.source_manifest,
             "seed": self.seed,
             "convexes": [
@@ -217,7 +220,7 @@ class Model:
             for c in rec["convexes"]
         ]
         return cls(
-            k=rec["k"], epsilon=rec["epsilon"], convexes=convexes,
+            k=rec["k"], convexes=convexes,
             sync=SyncState.from_dict(rec["sync"]) if rec.get("sync") else None,
             gmm=GaussianMixture.from_dict(rec["gmm"]) if rec.get("gmm") else None,
             source_manifest=rec.get("source_manifest", ""),
@@ -232,7 +235,11 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    return Model.from_dict(json.loads(Path(path).read_text()))
+    rec = _read_json(Path(path))
+    if rec.get("epsilon", CAGE_EPSILON) != CAGE_EPSILON:     # older files record it
+        raise PipelineError(f"{path}: cages built with epsilon {rec['epsilon']!r}; "
+                            f"this build rebuilds cages only with {CAGE_EPSILON}")
+    return Model.from_dict(rec)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +270,7 @@ def build_deformable(model: Model, source: ArticulatedObject,
             f"model has {len(model.convexes)} convexes, object has {len(flat)}"
         )
     if cages is None:
-        cages = [build_cage(convex, epsilon=model.epsilon)
-                 for _, _, convex in flat]
+        cages = [build_cage(convex) for _, _, convex in flat]
     m_total = len(flat)
     k = model.k
     if use_sync:
@@ -329,7 +335,7 @@ def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
 
     def fit_one(flat_convex) -> ConvexModel:
         pi, ci, convex = flat_convex
-        cage = build_cage(convex, epsilon=cfg.epsilon)
+        cage = build_cage(convex)
         fit = fit_bases([(convex, t.parts[pi].convexes[ci]) for t in targets],
                         cage, cfg.k, cfg=cfg.fit, seed=_convex_seed(cfg, pi, ci))
         return ConvexModel(
@@ -341,8 +347,8 @@ def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
         convexes = list(pool.map(fit_one, _flat_convexes(source)))
 
-    model = Model(k=cfg.k, epsilon=cfg.epsilon, convexes=convexes,
-                  source_manifest=ds.paths[0], seed=cfg.seed)
+    model = Model(k=cfg.k, convexes=convexes, source_manifest=ds.paths[0],
+                  seed=cfg.seed)
     save_model(model, out_path)
     return model
 
@@ -400,7 +406,7 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
     # source; its cages are built here, as in pretraining
     convexes: list[ConvexModel] = []
     for fi, (pi, ci, convex) in enumerate(flat):
-        cage = build_cage(convex, epsilon=cfg.epsilon)
+        cage = build_cage(convex)
         if pre is not None:
             bases = pre.convexes[fi].bases
         else:
@@ -412,8 +418,8 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
             coeffs=np.zeros((n_targets, cfg.k)), loss_history=[],
             converged=False,
         ))
-    model = Model(k=cfg.k, epsilon=cfg.epsilon, convexes=convexes,
-                  source_manifest=ds.paths[0], seed=cfg.seed)
+    model = Model(k=cfg.k, convexes=convexes, source_manifest=ds.paths[0],
+                  seed=cfg.seed)
 
     one_round = replace(cfg.fit, outer_iters=1)
     lc_history: list[float] = []
@@ -426,7 +432,7 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
                                     cages=[c.cage for c in model.convexes])
             for i in range(n_targets):
                 z, _, _ = correct_shape(dobj, stack_coeffs(model, i),
-                                        cfg.proj_train, cfg.sim)
+                                        TRAIN_PROJ, cfg.sim)
                 for cm, zm in zip(model.convexes, z.reshape(len(flat), cfg.k)):
                     cm.coeffs[i] = zm
             phy_grads = _phy_basis_grads(model, dobj, n_targets, cfg)
@@ -447,8 +453,7 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
 
     y = np.stack([np.asarray(c.coeffs) for c in model.convexes])  # (M, |A|, K)
     model.sync = synchronize([c.bases for c in model.convexes], y)
-    model.gmm = fit_gmm(model.sync.global_coeffs,
-                        n_components=cfg.gmm_components, seed=cfg.seed)
+    model.gmm = fit_gmm(model.sync.global_coeffs, seed=cfg.seed)
     save_model(model, out_path)
     return model
 
@@ -456,12 +461,13 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
 # ---------------------------------------------------------------------------
 # Sampling and correction
 
+SAMPLES_PER_REFERENCE = 40
+
 
 def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
-               n: int | None = None, seed: int | None = None,
+               n: int = SAMPLES_PER_REFERENCE, seed: int | None = None,
                z_zero: bool = False) -> dict:
     """Draw coefficients, synthesize meshes, apply test-time correction."""
-    n = n if n is not None else cfg.n_samples_per_reference
     if n < 1:
         raise PipelineError(f"sample count must be at least 1, got {n}")
     model = load_model(model_path)
@@ -472,8 +478,7 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    dobj = build_deformable(model, reference,
-                            blend_radius_rel=cfg.blend_radius_rel)
+    dobj = build_deformable(model, reference)
     # every --z-zero entry is the same zero vector: correct it once, reuse it
     zs = np.zeros((1, model.k)) if z_zero else sample_gmm(model.gmm, seed=seed, n=n)
 
@@ -483,7 +488,7 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
             # a draw that degenerates a face or yields a non-finite gradient
             # fails alone; the report records it and the run goes on
             try:
-                z, before, after = correct_shape(dobj, zs[i], cfg.proj_test, cfg.sim)
+                z, before, after = correct_shape(dobj, zs[i], TEST_PROJ, cfg.sim)
                 mesh = merge_meshes([p.mesh_at(z) for p in dobj.parts])
                 error = None
             except (ValueError, FloatingPointError) as exc:
@@ -508,18 +513,34 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
     return report
 
 
+def _load_coefficient(path, k: int) -> np.ndarray:
+    """A coefficient vector from a JSON file holding a list of K finite numbers."""
+    rec = _read_json(Path(path))
+    if not (isinstance(rec, list) and len(rec) == k
+            and all(type(v) in (int, float) for v in rec)
+            and np.isfinite(np.array(rec, dtype=np.float64)).all()):
+        raise PipelineError(f"{path}: a coefficient must be a list of K={k} "
+                            f"finite numbers, got {rec!r:.80}")
+    return np.array(rec, dtype=np.float64)
+
+
 def cmd_correct(model_path, reference_path, cfg: PipelineConfig,
-                z: np.ndarray | None = None, out_path=None) -> dict:
-    """Run the test-time correction on one coefficient and report both losses."""
+                z_path=None, out_path=None) -> dict:
+    """Run the test-time correction on one coefficient and report both losses.
+
+    The coefficient is read from the JSON file ``z_path``; without one it is
+    the GMM mean, or zero when the model has no GMM.
+    """
     model = load_model(model_path)
     reference = load_manifest(reference_path)
     if model.sync is None:
         raise PipelineError("model is not fine-tuned (missing sync state)")
-    dobj = build_deformable(model, reference,
-                            blend_radius_rel=cfg.blend_radius_rel)
-    if z is None:
+    dobj = build_deformable(model, reference)
+    if z_path is not None:
+        z = _load_coefficient(z_path, model.k)
+    else:
         z = model.gmm.mean() if model.gmm else np.zeros(model.k)
-    z_new, before, after = correct_shape(dobj, z, cfg.proj_test, cfg.sim)
+    z_new, before, after = correct_shape(dobj, z, TEST_PROJ, cfg.sim)
     if out_path:
         save_obj(merge_meshes([p.mesh_at(z_new) for p in dobj.parts]), out_path)
     return {"z": z_new.tolist(), "before": before.to_dict(),
@@ -544,10 +565,7 @@ def _load_generated(gen_dir) -> tuple[list[TriMesh], float | None]:
     apd = None
     report = gen_dir / "samples_report.json"
     if report.exists():
-        try:
-            rec = json.loads(report.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise PipelineError(f"{report}: invalid JSON: {e}") from e
+        rec = _read_json(report)
         apd = rec.get("mean_apd_after") if isinstance(rec, dict) else None
         if isinstance(apd, bool) or not isinstance(apd, (int, float)):
             raise PipelineError(f"{report}: 'mean_apd_after' must be a number, "

@@ -19,6 +19,8 @@ see which outputs a change moved.
 differs it prints the path and, for JSON and OBJ files, the largest relative
 difference between matching numbers, ``|a - b| / max(|a|, |b|)``; files whose
 numbers do not pair up, or that exist on one side only, are named as such.
+A JSON key found on one side only is named with its path, and the numbers
+are then compared without it.
 """
 
 from __future__ import annotations
@@ -42,31 +44,53 @@ def _outputs(out: Path) -> dict[str, Path]:
             and p.relative_to(out).parts[0] != "data"}
 
 
-def _numbers(path: Path) -> tuple[list, list[float]]:
-    """A file's non-numeric skeleton and its numbers, in order."""
-    if path.suffix == ".json":
-        skeleton, numbers = [], []
+def _json_numbers(tree) -> tuple[list, list[float]]:
+    """A JSON tree's non-numeric skeleton and its numbers, in order."""
+    skeleton, numbers = [], []
 
-        def walk(node):
-            if isinstance(node, dict):
-                skeleton.append(sorted(node))
-                for key in sorted(node):
-                    walk(node[key])
-            elif isinstance(node, list):
-                skeleton.append(len(node))
-                for item in node:
-                    walk(item)
-            elif isinstance(node, (int, float)) and not isinstance(node, bool):
-                numbers.append(float(node))
-            else:
-                skeleton.append(node)
+    def walk(node):
+        if isinstance(node, dict):
+            skeleton.append(sorted(node))
+            for key in sorted(node):
+                walk(node[key])
+        elif isinstance(node, list):
+            skeleton.append(len(node))
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            numbers.append(float(node))
+        else:
+            skeleton.append(node)
 
-        walk(json.loads(path.read_text()))
-        return skeleton, numbers
-    # OBJ: the first token of each line is its kind, the rest are numbers
+    walk(tree)
+    return skeleton, numbers
+
+
+def _obj_numbers(path: Path) -> tuple[list, list[float]]:
+    """An OBJ's line kinds and lengths, and its numbers, in order."""
     rows = [line.split() for line in path.read_text().splitlines()]
     return ([(r[0], len(r)) for r in rows if r],
             [float(tok.split("/")[0]) for r in rows if r for tok in r[1:]])
+
+
+def _one_sided_keys(a, b, at: str = ""):
+    """Both JSON trees without the dict keys that only one of them has.
+
+    Returns ``(a', b', keys)``, ``keys`` holding ``(path, in_a)`` per dropped
+    key. Lists are descended only where their lengths match.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = [(at + k, k in a) for k in sorted(a.keys() ^ b.keys())]
+        a_out, b_out = {}, {}
+        for k in sorted(a.keys() & b.keys()):
+            a_out[k], b_out[k], sub = _one_sided_keys(a[k], b[k], f"{at}{k}.")
+            keys += sub
+        return a_out, b_out, keys
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [_one_sided_keys(x, y, f"{at}{i}.") for i, (x, y) in enumerate(zip(a, b))]
+        return ([p[0] for p in parts], [p[1] for p in parts],
+                [k for p in parts for k in p[2]])
+    return a, b, []
 
 
 def compare(out_a: Path, out_b: Path) -> int:
@@ -81,10 +105,17 @@ def compare(out_a: Path, out_b: Path) -> int:
         if a[rel].read_bytes() == b[rel].read_bytes():
             continue
         n_diff += 1
-        if a[rel].suffix not in (".json", ".obj"):
+        if a[rel].suffix == ".json":
+            tree_a, tree_b, keys = _one_sided_keys(json.loads(a[rel].read_text()),
+                                                   json.loads(b[rel].read_text()))
+            for key, in_a in keys:
+                print(f"{rel}  key {key!r} only in {out_a if in_a else out_b}")
+            (skel_a, num_a), (skel_b, num_b) = _json_numbers(tree_a), _json_numbers(tree_b)
+        elif a[rel].suffix == ".obj":
+            (skel_a, num_a), (skel_b, num_b) = _obj_numbers(a[rel]), _obj_numbers(b[rel])
+        else:
             print(f"{rel}  differs")
             continue
-        (skel_a, num_a), (skel_b, num_b) = _numbers(a[rel]), _numbers(b[rel])
         if skel_a != skel_b or len(num_a) != len(num_b):
             print(f"{rel}  differs in structure")
             continue

@@ -253,7 +253,7 @@ def test_metrics_and_ablation(tmp_path):
     apds = {}
     for lam in (0.0, 1.0):
         cfg = PipelineConfig(
-            k=3, gmm_components=2, finetune_outer_iters=2,
+            k=3, finetune_outer_iters=2,
             lambda_phy=lam, seed=0,
             fit=FitConfig(chamfer_samples=128, outer_iters=2),
             sim=SimConfig(n_steps=10, n_det=2, seed=0),

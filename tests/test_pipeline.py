@@ -9,7 +9,7 @@ import pytest
 from artigen.basis import FitConfig, sample_gmm
 from artigen.cage import build_cage
 from artigen.mesh import load_manifest, merge_meshes, save_obj
-from artigen.physics import SimConfig
+from artigen.physics import ProjConfig, SimConfig
 from artigen.pipeline import (
     Model,
     PipelineConfig,
@@ -33,8 +33,7 @@ from fixtures import write_eyeglasses_dataset
 
 def tiny_config() -> PipelineConfig:
     cfg = PipelineConfig(
-        k=3, n_samples_per_reference=3, gmm_components=2,
-        finetune_outer_iters=2, eval_points=256, seed=0,
+        k=3, finetune_outer_iters=2, eval_points=256, seed=0,
         fit=FitConfig(chamfer_samples=128, outer_iters=2),
         sim=SimConfig(n_steps=10, n_det=2, seed=0),
     )
@@ -135,11 +134,57 @@ def test_model_round_trips(pretrained, tmp_path):
     p = tmp_path / "copy.json"
     save_model(model, p)
     back = load_model(p)
-    assert back.k == model.k and back.epsilon == model.epsilon
+    assert back.k == model.k
     for a, b in zip(model.convexes, back.convexes):
         np.testing.assert_array_equal(a.bases.bases, b.bases.bases)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
         np.testing.assert_array_equal(a.cage.phi, b.cage.phi)
+
+
+def test_model_file_with_old_epsilon(finetuned, workdir, tmp_path):
+    # files from before the cage retraction became a constant record it: the
+    # constant's value loads and samples as before, any other is refused
+    _, model_path = finetuned
+    root, _ = workdir
+    ref = root / "data" / "glasses_01" / "object.json"
+    rec = json.loads(model_path.read_text())
+    assert "epsilon" not in rec
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**rec, "epsilon": 0.05}))
+    for name, path in (("new", model_path), ("old", old)):
+        cmd_sample(path, ref, tmp_path / name, tiny_config(), n=2, seed=7)
+    new_files = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert new_files == sorted(p.name for p in (tmp_path / "old").iterdir())
+    for name in new_files:
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "new" / name).read_bytes())
+    old.write_text(json.dumps({**rec, "epsilon": 0.1}))
+    with pytest.raises(PipelineError, match=re.escape(str(old)) + ".*epsilon 0.1"):
+        load_model(old)
+    old.write_text(model_path.read_text()[:-1])
+    with pytest.raises(PipelineError, match=re.escape(str(old)) + ": invalid JSON"):
+        load_model(old)
+
+
+@pytest.mark.parametrize("text", ["[0.5, 1.0]", '["a"]', '["a", 1, 2]',
+                                  "[NaN, 0, 0]", "[0, -Infinity, 0]",
+                                  "[true, 0, 0]", '{"z": [0, 0, 0]}'])
+def test_cli_correct_rejects_bad_z_file(finetuned, workdir, tmp_path, text):
+    from artigen.cli import main
+
+    _, model_path = finetuned
+    root, _ = workdir
+    ref = root / "data" / "glasses_01" / "object.json"
+    z = tmp_path / "z.json"
+    z.write_text(text)
+    argv = ["--profile", "desk", "correct", str(model_path), str(ref),
+            str(tmp_path / "out"), "--z-file", str(z)]
+    with pytest.raises(PipelineError, match=re.escape(str(z)) + ".*K=3"):
+        main(argv)
+    z.write_text("[0.5, 0.0, -0.25]")
+    assert main(argv) == 0
+    rec = json.loads((tmp_path / "out" / "correct.json").read_text())
+    assert len(rec["z"]) == 3
 
 
 def test_finetune_adds_sync_and_gmm(finetuned):
@@ -218,13 +263,15 @@ def test_sample_is_deterministic(finetuned, workdir):
     assert r1 == r2
 
 
-def test_sample_z_zero_matches_reference_geometry(finetuned, workdir, tmp_path):
+def test_sample_z_zero_matches_reference_geometry(finetuned, workdir, tmp_path,
+                                                  monkeypatch):
+    import artigen.pipeline as pipeline
+
     _, model_path = finetuned
     root, ds = workdir
     ref_path = root / "data" / "glasses_00" / "object.json"
-    cfg = tiny_config()
-    cfg.proj_test = replace(cfg.proj_test, iters=0)
-    cmd_sample(model_path, ref_path, tmp_path, cfg, n=1, z_zero=True)
+    monkeypatch.setattr(pipeline, "TEST_PROJ", ProjConfig(iters=0))
+    cmd_sample(model_path, ref_path, tmp_path, tiny_config(), n=1, z_zero=True)
     from artigen.mesh import load_obj
 
     got = load_obj(tmp_path / "sample_000.obj")
@@ -315,9 +362,6 @@ def test_sample_rejects_count_below_one(finetuned, workdir, tmp_path):
         with pytest.raises(PipelineError, match="at least 1, got"):
             cmd_sample(tmp_path / "missing.json", ref, tmp_path / "lib",
                        tiny_config(), n=n)
-    cfg = replace(tiny_config(), n_samples_per_reference=0)
-    with pytest.raises(PipelineError, match="at least 1, got 0"):
-        cmd_sample(model_path, ref, tmp_path / "lib", cfg)
     assert not (tmp_path / "lib").exists()
     with pytest.raises(PipelineError, match="at least 1, got 0"):
         main(["sample", str(model_path), str(ref), str(tmp_path / "cli"), "-n", "0"])
@@ -441,6 +485,50 @@ def test_apply_overrides():
         apply_overrides(PipelineConfig(), {"sim": {"n_steps": 0}})
 
 
+@pytest.mark.parametrize("key", ["epsilon", "blend_radius_rel", "gmm_components",
+                                 "n_samples_per_reference", "proj_train",
+                                 "proj_test"])
+def test_apply_overrides_rejects_removed_settings(key):
+    # these are module constants now: CAGE_EPSILON, build_deformable's and
+    # fit_gmm's defaults, SAMPLES_PER_REFERENCE, TRAIN_PROJ and TEST_PROJ
+    with pytest.raises(PipelineError, match=f"unknown config key '{key}'"):
+        apply_overrides(PipelineConfig(), {key: {}})
+
+
+@pytest.mark.parametrize("rec, match", [
+    ([], "a config file needs a table, got list"),
+    ({"k": "16"}, r"'k' must be of type int, got '16'"),
+    ({"k": 16.0}, r"'k' must be of type int, got 16.0"),
+    ({"k": True}, r"'k' must be of type int, got True"),
+    ({"lambda_phy": False}, r"'lambda_phy' must be of type float, got False"),
+    ({"lambda_phy": None}, r"'lambda_phy' must be of type float, got None"),
+    ({"fit": {"chamfer_samples": [512]}}, r"'fit.chamfer_samples' must be of type int"),
+    ({"sim": {"seed": "0"}}, r"'sim.seed' must be of type int"),
+])
+def test_apply_overrides_rejects_wrong_types(rec, match):
+    with pytest.raises(PipelineError, match=match):
+        apply_overrides(PipelineConfig(), rec)
+
+
+def test_apply_overrides_accepts_int_for_float():
+    cfg = apply_overrides(PipelineConfig(), {"lambda_phy": 0, "fit": {"lambda_sp": 1}})
+    assert (cfg.lambda_phy, cfg.fit.lambda_sp) == (0, 1)
+
+
+@pytest.mark.parametrize("name, text", [("cfg.json", "{not json"),
+                                        ("cfg.toml", "k = = 3"),
+                                        ("cfg.json", "[1, 2]")])
+def test_cli_config_file_errors(tmp_path, name, text):
+    from artigen.cli import _build_config, build_parser
+
+    path = tmp_path / name
+    path.write_text(text)
+    args = build_parser().parse_args(["--config", str(path), "simulate", "m", "o"])
+    match = "needs a table" if text.startswith("[") else re.escape(str(path))
+    with pytest.raises(PipelineError, match=match):
+        _build_config(args)
+
+
 def test_desk_profile_shrinks_costs():
     cfg = desk_profile()
     assert cfg.sim.n_steps == 20 and cfg.sim.n_det == 10
@@ -556,7 +644,7 @@ def test_finetune_pretrained_on_other_dataset_builds_own_cages(pretrained, tmp_p
     source = load_dataset(ds).objects[0]
     for cm in model.convexes:
         convex = source.parts[cm.part_index].convexes[cm.convex_index]
-        want = build_cage(convex, epsilon=cfg.epsilon)
+        want = build_cage(convex)
         np.testing.assert_array_equal(cm.cage.mesh.vertices, want.mesh.vertices)
         np.testing.assert_array_equal(cm.cage.mesh.faces, want.mesh.faces)
         np.testing.assert_array_equal(cm.cage.phi, want.phi)
