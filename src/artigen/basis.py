@@ -67,11 +67,21 @@ def chamfer_distance(p: np.ndarray | cKDTree, q: np.ndarray | cKDTree) -> float:
     tp, tq = (x if isinstance(x, cKDTree)
               else cKDTree(np.asarray(x, dtype=np.float64).reshape(-1, 3))
               for x in (p, q))
+    return _chamfer_and_match(tp, tq)[0]
+
+
+def _chamfer_and_match(tp: cKDTree, tq: cKDTree):
+    """Chamfer distance between two trees' points and the matches both ways.
+
+    One query in each direction gives the value and ``(fwd, back)``: per
+    point of ``tp`` the index of its nearest point of ``tq``, and per point
+    of ``tq`` the index of its nearest point of ``tp``.
+    """
     if tp.n == 0 or tq.n == 0:
         raise ValueError("chamfer distance of an empty point set")
-    d_pq, _ = tq.query(tp.data)
-    d_qp, _ = tp.query(tq.data)
-    return float(np.mean(d_pq**2) + np.mean(d_qp**2))
+    d_pq, fwd = tq.query(tp.data)
+    d_qp, back = tp.query(tq.data)
+    return float(np.mean(d_pq**2) + np.mean(d_qp**2)), (fwd, back)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +124,6 @@ class CoeffFit:
     correspondences: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _chamfer_and_match(points: np.ndarray, target_tree: cKDTree):
-    """Chamfer distance to the tree's targets and the matches both ways.
-
-    One tree over the points and one query in each direction give the value
-    ``chamfer_distance(points, targets)`` and, from the same queries, the
-    nearest-target index per point and the nearest-point index per target.
-    """
-    d_fwd, fwd = target_tree.query(points)
-    d_back, back = cKDTree(points).query(target_tree.data)
-    return float(np.mean(d_fwd**2) + np.mean(d_back**2)), (fwd, back)
-
-
 def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarray,
                     max_rounds: int = 50, z0: np.ndarray | None = None) -> CoeffFit:
     """Fit z minimizing Chamfer distance to the target samples.
@@ -143,8 +141,6 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
     matches the next round solves with.
     """
     targets = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
-    if len(targets) == 0:
-        raise ValueError("chamfer distance of an empty point set")
     target_tree = cKDTree(targets)
     n_src, n_tgt = op.p0.shape[0], targets.shape[0]
     # rows (i, axis) of the matched system, one column per basis (e is n×3×K):
@@ -156,7 +152,8 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
     a_back = a[3 * n_src:]
 
     z = np.zeros(bases.k) if z0 is None else np.array(z0, dtype=np.float64)
-    best_cd, matches = _chamfer_and_match(op.points(bases, z), target_tree)
+    best_cd, matches = _chamfer_and_match(cKDTree(op.points(bases, z)),
+                                         target_tree)
     best_z, best_corr = z, matches
     history = [best_cd]
     converged = False
@@ -166,7 +163,8 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
         r = np.concatenate([(targets[fwd] - op.p0).ravel() / np.sqrt(n_src),
                             (targets - op.p0[back]).ravel() / np.sqrt(n_tgt)])
         z_new, *_ = np.linalg.lstsq(a, r, rcond=None)
-        cd_new, matches = _chamfer_and_match(op.points(bases, z_new), target_tree)
+        cd_new, matches = _chamfer_and_match(cKDTree(op.points(bases, z_new)),
+                                             target_tree)
         if cd_new < best_cd:
             improvement = best_cd - cd_new
             best_cd, best_z, best_corr = cd_new, z_new, (fwd, back)

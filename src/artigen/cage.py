@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .mesh import TriMesh
 
@@ -185,6 +184,10 @@ def build_cage(convex: TriMesh) -> Cage:
     distinct convex vertex by minimum-cost assignment and retracted towards it
     by a factor (1 - CAGE_EPSILON).
     """
+    # imported here: scipy.optimize costs about 11 MiB, and only the stages
+    # that build cages need it
+    from scipy.optimize import linear_sum_assignment
+
     template = cage_template()
     if convex.n_vertices == 0:
         raise ValueError("empty convex")

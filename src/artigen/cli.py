@@ -14,23 +14,20 @@ import numpy as np
 import scipy
 
 from . import __version__, pipeline
+from .mesh import read_json
 from .pipeline import PipelineConfig, PipelineError, apply_overrides, desk_profile
 
 
 def _load_config_file(path) -> dict:
     path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".toml":
-        import tomllib
+    if path.suffix != ".toml":
+        return read_json(path, PipelineError)
+    import tomllib
 
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as e:
-            raise PipelineError(f"{path}: invalid TOML: {e}") from e
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise PipelineError(f"{path}: invalid JSON: {e}") from e
+        return tomllib.loads(path.read_text(encoding="utf-8"))
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
+        raise PipelineError(f"{path}: invalid TOML: {e}") from e
 
 
 def _build_config(args) -> PipelineConfig:

@@ -227,6 +227,18 @@ def save_obj(mesh: TriMesh, path) -> None:
 # Manifest
 
 
+def read_json(path, error: type[Exception]):
+    """The value of the JSON file ``path``, read as UTF-8.
+
+    Text that is not UTF-8 or not JSON raises ``error``, naming the file.
+    """
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise error(f"{path}: invalid JSON: {e}") from e
+
+
 def _parse_joint(rec: dict) -> Joint:
     if not isinstance(rec, dict):
         raise ManifestError(f"joint must be a JSON object, got {rec!r}")
@@ -254,10 +266,7 @@ def _ref_states(val) -> tuple[float, ...]:
 def load_manifest(path) -> ArticulatedObject:
     """Load an articulated-object manifest (JSON) and its referenced OBJ files."""
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ManifestError(f"{path}: invalid JSON: {e}") from e
+    spec = read_json(path, ManifestError)
     if not isinstance(spec, dict):
         raise ManifestError(f"{path}: top level must be a JSON object, got {spec!r}")
     recs = spec.get("parts", [])

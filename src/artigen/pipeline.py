@@ -20,7 +20,7 @@ from .basis import (
 )
 from .cage import CAGE_EPSILON, Cage, build_cage, smooth_weights
 from .mesh import (ArticulatedObject, TriMesh, load_manifest, load_obj,
-                   merge_meshes, sample_surface, save_obj)
+                   merge_meshes, read_json, sample_surface, save_obj)
 from .metrics import evaluate
 from .physics import (
     DeformableObject,
@@ -98,17 +98,10 @@ class Dataset:
     paths: list[str]
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise PipelineError(f"{path}: invalid JSON: {e}") from e
-
-
 def load_dataset(path) -> Dataset:
     """A dataset manifest is a JSON list of object manifests."""
     path = Path(path)
-    rec = _read_json(path)
+    rec = read_json(path, PipelineError)
     if not isinstance(rec, dict):
         raise PipelineError(f"{path}: top level must be a JSON object, got {rec!r}")
     entries = rec.get("objects")
@@ -235,7 +228,7 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    rec = _read_json(Path(path))
+    rec = read_json(path, PipelineError)
     if rec.get("epsilon", CAGE_EPSILON) != CAGE_EPSILON:     # older files record it
         raise PipelineError(f"{path}: cages built with epsilon {rec['epsilon']!r}; "
                             f"this build rebuilds cages only with {CAGE_EPSILON}")
@@ -252,17 +245,17 @@ def _object_blend_radius(obj: ArticulatedObject, rel: float) -> float:
 
 
 def build_deformable(model: Model, source: ArticulatedObject,
-                     blend_radius_rel: float = 0.05,
-                     use_sync: bool = True,
+                     maps: list[np.ndarray], blend_radius_rel: float = 0.05,
                      cages: list[Cage] | None = None) -> DeformableObject:
-    """Assemble the affine-in-z object: synced bases -> cages -> smooth layer.
+    """Assemble the affine-in-z object: mapped bases -> cages -> smooth layer.
 
-    With ``use_sync`` the global coefficient (length K) drives every convex
-    through its synchronization matrix; otherwise the coefficient is the
-    stacked per-convex vector (length M*K) and each convex only responds to
-    its own block. Basis offsets index template cage vertices, so when
-    ``cages`` is not given they are rebuilt for this object's convexes; the
-    model's own cages are only reused when the object is the fitting source.
+    ``maps[m]`` is a (K, K_total) matrix that takes the object's coefficient
+    (length K_total) to convex m's own K coefficients: the synchronization
+    matrices for the global coefficient, or the identity's block rows for
+    the stacked per-convex coefficients. Basis offsets index template cage
+    vertices, so when ``cages`` is not given they are rebuilt for this
+    object's convexes; the model's own cages are only reused when the object
+    is the fitting source.
     """
     flat = _flat_convexes(source)
     if len(flat) != len(model.convexes):
@@ -271,18 +264,8 @@ def build_deformable(model: Model, source: ArticulatedObject,
         )
     if cages is None:
         cages = [build_cage(convex) for _, _, convex in flat]
-    m_total = len(flat)
-    k = model.k
-    if use_sync:
-        if model.sync is None:
-            raise PipelineError("model has no synchronization state")
-        eff = [BasisSet(synced_bases(c.bases, s))
-               for c, s in zip(model.convexes, model.sync.s_matrices)]
-        cols = [0] * m_total        # every convex reads the one global block
-    else:
-        eff = [c.bases for c in model.convexes]
-        cols = [m * k for m in range(m_total)]
-    k_total = cols[-1] + k
+    eff = [synced_bases(c.bases, s) for c, s in zip(model.convexes, maps)]
+    k_total = eff[0].shape[0]
     blend_radius = _object_blend_radius(source, blend_radius_rel)
 
     parts = []
@@ -297,8 +280,7 @@ def build_deformable(model: Model, source: ArticulatedObject,
         jac = np.zeros((starts[-1], 3, k_total))
         for (a, b), w_row in zip(slices, weights):
             for w, gi in zip(w_row, idxs):                # w: (nv, N_t)
-                c = cols[gi]
-                jac[a:b, :, c:c + k] += np.einsum("vt,jta->vaj", w, eff[gi].bases)
+                jac[a:b] += np.einsum("vt,jta->vaj", w, eff[gi])
         merged = merge_meshes(convexes)
         parts.append(DeformablePart(
             name=part.name, v0=np.array(merged.vertices), jac=jac,
@@ -422,13 +404,14 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
                   seed=cfg.seed)
 
     one_round = replace(cfg.fit, outer_iters=1)
+    # convex m reads block m of the stacked per-convex coefficients
+    blocks = np.split(np.eye(len(flat) * cfg.k), len(flat))
     lc_history: list[float] = []
     for outer in range(cfg.finetune_outer_iters):
         phy_grads = [None] * len(flat)
         if cfg.lambda_phy > 0:
             # train-time correction on the stacked coefficients, per target
-            dobj = build_deformable(model, source, blend_radius_rel=0.0,
-                                    use_sync=False,
+            dobj = build_deformable(model, source, blocks, blend_radius_rel=0.0,
                                     cages=[c.cage for c in model.convexes])
             for i in range(n_targets):
                 z, _, _ = correct_shape(dobj, stack_coeffs(model, i),
@@ -478,7 +461,7 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    dobj = build_deformable(model, reference)
+    dobj = build_deformable(model, reference, model.sync.s_matrices)
     # every --z-zero entry is the same zero vector: correct it once, reuse it
     zs = np.zeros((1, model.k)) if z_zero else sample_gmm(model.gmm, seed=seed, n=n)
 
@@ -515,7 +498,7 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
 
 def _load_coefficient(path, k: int) -> np.ndarray:
     """A coefficient vector from a JSON file holding a list of K finite numbers."""
-    rec = _read_json(Path(path))
+    rec = read_json(path, PipelineError)
     if not (isinstance(rec, list) and len(rec) == k
             and all(type(v) in (int, float) for v in rec)
             and np.isfinite(np.array(rec, dtype=np.float64)).all()):
@@ -535,7 +518,7 @@ def cmd_correct(model_path, reference_path, cfg: PipelineConfig,
     reference = load_manifest(reference_path)
     if model.sync is None:
         raise PipelineError("model is not fine-tuned (missing sync state)")
-    dobj = build_deformable(model, reference)
+    dobj = build_deformable(model, reference, model.sync.s_matrices)
     if z_path is not None:
         z = _load_coefficient(z_path, model.k)
     else:
@@ -565,7 +548,7 @@ def _load_generated(gen_dir) -> tuple[list[TriMesh], float | None]:
     apd = None
     report = gen_dir / "samples_report.json"
     if report.exists():
-        rec = _read_json(report)
+        rec = read_json(report, PipelineError)
         apd = rec.get("mean_apd_after") if isinstance(rec, dict) else None
         if isinstance(apd, bool) or not isinstance(apd, (int, float)):
             raise PipelineError(f"{report}: 'mean_apd_after' must be a number, "

@@ -103,9 +103,10 @@ def synchronize(bases: list[BasisSet], y: np.ndarray) -> SyncState:
 def synced_bases(bases: BasisSet, s_matrix: np.ndarray) -> np.ndarray:
     """Composed operator: basis j of the result is sum_k S[k, j] b_k.
 
-    Applying the result to z equals applying the original bases to S z.
+    ``s_matrix`` is (K, K_total) for any K_total; applying the K_total
+    resulting bases to z equals applying the original bases to S z.
     """
     s_matrix = np.asarray(s_matrix, dtype=np.float64)
-    if s_matrix.shape != (bases.k, bases.k):
-        raise ValueError(f"S must be {(bases.k, bases.k)}, got {s_matrix.shape}")
+    if s_matrix.ndim != 2 or s_matrix.shape[0] != bases.k:
+        raise ValueError(f"S must have {bases.k} rows, got shape {s_matrix.shape}")
     return np.einsum("kj,kna->jna", s_matrix, bases.bases)

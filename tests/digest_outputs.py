@@ -20,7 +20,8 @@ differs it prints the path and, for JSON and OBJ files, the largest relative
 difference between matching numbers, ``|a - b| / max(|a|, |b|)``; files whose
 numbers do not pair up, or that exist on one side only, are named as such.
 A JSON key found on one side only is named with its path, and the numbers
-are then compared without it.
+are then compared without it. It exits 1 when any output differs and 0 when
+all are byte-identical.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def compare(out_a: Path, out_b: Path) -> int:
                         for x, y in zip(num_a, num_b) if x != y), default=0.0)
         print(f"{rel}  max relative difference {rel_diff:.3g}")
     print(f"{n_diff} of {len(a.keys() | b.keys())} outputs differ")
-    return 0
+    return int(n_diff > 0)
 
 
 def main(argv: list[str]) -> int:

@@ -48,8 +48,9 @@ def test_chamfer_matches_brute_force(rng):
     p, q = rng.normal(size=(40, 3)), rng.normal(size=(25, 3))
     assert chamfer_distance(p, q) == pytest.approx(brute_chamfer(p, q), abs=1e-12)
     assert chamfer_distance(p, p) == 0.0
-    with pytest.raises(ValueError):
-        chamfer_distance(np.zeros((0, 3)), q)
+    for empty in ((np.zeros((0, 3)), q), (p, np.zeros((0, 3)))):
+        with pytest.raises(ValueError, match="empty point set"):
+            chamfer_distance(*empty)
 
 
 def test_deform_operator_affine(rng):
@@ -80,6 +81,14 @@ def test_fit_coefficient_monotone(rng):
     # accepted steps only: history never increases
     assert all(b <= a + 1e-15 for a, b in zip(fit.cd_history, fit.cd_history[1:]))
     assert fit.cd < 1e-10
+
+
+def test_fit_coefficient_rejects_empty_targets(rng):
+    cage, src = small_cage()
+    bases = BasisSet(rng.normal(scale=0.2, size=(3, 6, 3)))
+    op = DeformOperator(cage, src, 128, seed=0)
+    with pytest.raises(ValueError, match="empty point set"):
+        fit_coefficient(bases, op, np.zeros((0, 3)))
 
 
 def _coefficient_case(name, rng):

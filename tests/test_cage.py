@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +136,22 @@ def test_mvc_matches_naive_oracle():
     for p in _interior_points(rng, 25):
         np.testing.assert_allclose(mean_value_coordinates(p, cage),
                                    naive_mvc(p, cage), atol=1e-10)
+
+
+def test_scipy_optimize_imported_only_by_cage_building():
+    # a fresh interpreter: importing the pipeline leaves scipy.optimize (about
+    # 11 MiB) unloaded; building a cage loads it
+    code = ("import sys, artigen.pipeline\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from artigen.cage import build_cage, cage_template\n"
+            "build_cage(cage_template())\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = str(Path(cage_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_build_cage_template_fit_and_retraction():

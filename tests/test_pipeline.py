@@ -229,11 +229,38 @@ def test_zero_coefficient_reproduces_reference(finetuned, workdir):
     model, _ = finetuned
     root, ds = workdir
     ref = load_dataset(ds).objects[0]
-    dobj = build_deformable(model, ref, cages=[c.cage for c in model.convexes])
+    dobj = build_deformable(model, ref, model.sync.s_matrices,
+                            cages=[c.cage for c in model.convexes])
     for got, want in zip(dobj.parts, ref.parts):
         g = got.mesh_at(np.zeros(model.k))
         assert np.abs(g.vertices - want.merged().vertices).max() < 1e-6
         np.testing.assert_array_equal(g.faces, want.merged().faces)
+
+
+def test_build_deformable_block_layout(pretrained, workdir):
+    # the identity's block rows give convex m block m of the stacked
+    # coefficients: v_m + phi_m @ (y_m^i . B_m) on the model's own cages;
+    # a pretrained model has no sync state and needs none here
+    model, _ = pretrained
+    _, ds = workdir
+    source = load_dataset(ds).objects[0]
+    m_count = len(model.convexes)
+    blocks = np.split(np.eye(m_count * model.k), m_count)
+    dobj = build_deformable(model, source, blocks, blend_radius_rel=0.0,
+                            cages=[c.cage for c in model.convexes])
+    assert dobj.k == m_count * model.k
+    for i in range(len(model.convexes[0].coeffs)):
+        z = stack_coeffs(model, i)
+        for cm in model.convexes:
+            part = dobj.parts[cm.part_index]
+            a, b = part.convex_slices[cm.convex_index]
+            convex = source.parts[cm.part_index].convexes[cm.convex_index]
+            y = cm.coeffs[i]
+            want = convex.vertices + cm.cage.phi @ cm.bases.cage_offsets(y)
+            # rounding of two summation orders: ulps of the largest term
+            scale = np.abs(y).sum() * np.abs(cm.bases.bases).max()
+            np.testing.assert_allclose(part.mesh_at(z).vertices[a:b], want,
+                                       rtol=0, atol=1e-14 * max(scale, 1.0))
 
 
 def test_stack_unstack_round_trip(pretrained):
@@ -526,6 +553,17 @@ def test_cli_config_file_errors(tmp_path, name, text):
     args = build_parser().parse_args(["--config", str(path), "simulate", "m", "o"])
     match = "needs a table" if text.startswith("[") else re.escape(str(path))
     with pytest.raises(PipelineError, match=match):
+        _build_config(args)
+
+
+@pytest.mark.parametrize("name", ["cfg.json", "cfg.toml"])
+def test_cli_config_file_not_utf8(tmp_path, name):
+    from artigen.cli import _build_config, build_parser
+
+    path = tmp_path / name
+    path.write_bytes(b"k = 3 \xff\xfe")
+    args = build_parser().parse_args(["--config", str(path), "simulate", "m", "o"])
+    with pytest.raises(PipelineError, match=re.escape(str(path))):
         _build_config(args)
 
 

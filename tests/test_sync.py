@@ -219,6 +219,19 @@ def test_synced_bases_composition(rng):
     np.testing.assert_allclose(direct, composed, atol=1e-12)
 
 
+def test_synced_bases_wide_map(rng):
+    # a K x K_total map, as the stacked per-convex layout passes one
+    bases = BasisSet(rng.normal(size=(4, 6, 3)))
+    s = rng.normal(size=(4, 7))
+    z = rng.normal(size=7)
+    composed = synced_bases(bases, s)
+    assert composed.shape == (7, 6, 3)
+    np.testing.assert_allclose(BasisSet(composed).cage_offsets(z),
+                               bases.cage_offsets(s @ z), atol=1e-12)
+    with pytest.raises(ValueError, match="S must have 4 rows"):
+        synced_bases(bases, rng.normal(size=(3, 4)))
+
+
 def test_state_round_trip(rng):
     bases, y, _, _ = _exact_model(rng, 2, 3, 4)
     # a record with 100 alternation steps, as models written before the
