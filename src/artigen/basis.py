@@ -108,7 +108,7 @@ class DeformOperator:
 
     def basis_point_offsets(self, bases: BasisSet) -> np.ndarray:
         """Per-basis sample offsets, shape (K, n, 3)."""
-        return np.einsum("nj,kja->kna", self.g, bases.bases)
+        return np.matmul(self.g, bases.bases)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +124,24 @@ class CoeffFit:
     correspondences: tuple[np.ndarray, np.ndarray] | None = None
 
 
+def _merged_rows(op: DeformOperator, targets: np.ndarray, fwd: np.ndarray,
+                 back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample weights w and targets c of the matched objective.
+
+    Sample i's forward term and the backward terms of the targets matched to
+    it share the linear part e_i z, so together they are
+    w_i ||e_i z - c_i||^2 plus a constant, with w_i = 1/n_src +
+    |back^-1(i)|/n_tgt and c_i the weighted mean of those targets minus
+    p0_i. Every w_i is positive.
+    """
+    n_src, n_tgt = op.p0.shape[0], targets.shape[0]
+    w = 1.0 / n_src + np.bincount(back, minlength=n_src) / n_tgt
+    # each forward and backward row adds its weighted target to its sample
+    total = targets[fwd] / n_src
+    np.add.at(total, back, targets / n_tgt)
+    return w, total / w[:, None] - op.p0
+
+
 def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarray,
                     max_rounds: int = 50, z0: np.ndarray | None = None) -> CoeffFit:
     """Fit z minimizing Chamfer distance to the target samples.
@@ -134,22 +152,18 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
     matches whose least squares produced the returned z (the matches at z0
     when no step improved).
 
-    The target tree, the per-basis sample offsets and the forward rows of the
-    least-squares system depend only on the fixed bases and targets, so they
-    are built once per fit. Each round builds one tree over the candidate
-    points; its two queries give both the candidate's Chamfer value and the
-    matches the next round solves with.
+    The matched objective has one row per source sample and axis, weighted
+    by ``_merged_rows``. The target tree and the per-basis sample offsets
+    depend only on the fixed bases and targets, so they are built once per
+    fit, and each round rescales the offsets into one buffer. Each round
+    builds one tree over the candidate points; its two queries give both the
+    candidate's Chamfer value and the matches the next round solves with.
     """
     targets = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
     target_tree = cKDTree(targets)
-    n_src, n_tgt = op.p0.shape[0], targets.shape[0]
-    # rows (i, axis) of the matched system, one column per basis (e is n×3×K):
-    # forward rows p_i(z) -> targets[fwd[i]] with weight 1/n_src,
-    # backward rows p_back[j](z) -> targets[j] with weight 1/n_tgt
+    # e[i, axis] is the row of sample i's coordinate: one column per basis
     e = np.ascontiguousarray(op.basis_point_offsets(bases).transpose(1, 2, 0))
-    a = np.empty((3 * (n_src + n_tgt), bases.k))
-    a[:3 * n_src] = e.reshape(-1, bases.k) / np.sqrt(n_src)
-    a_back = a[3 * n_src:]
+    a = np.empty(e.shape)
 
     z = np.zeros(bases.k) if z0 is None else np.array(z0, dtype=np.float64)
     best_cd, matches = _chamfer_and_match(cKDTree(op.points(bases, z)),
@@ -159,10 +173,11 @@ def fit_coefficient(bases: BasisSet, op: DeformOperator, target_points: np.ndarr
     converged = False
     for _ in range(max_rounds):
         fwd, back = matches
-        a_back[:] = e[back].reshape(-1, bases.k) / np.sqrt(n_tgt)
-        r = np.concatenate([(targets[fwd] - op.p0).ravel() / np.sqrt(n_src),
-                            (targets - op.p0[back]).ravel() / np.sqrt(n_tgt)])
-        z_new, *_ = np.linalg.lstsq(a, r, rcond=None)
+        w, c = _merged_rows(op, targets, fwd, back)
+        sw = np.sqrt(w)[:, None]
+        np.multiply(e, sw[:, :, None], out=a)
+        z_new, *_ = np.linalg.lstsq(a.reshape(-1, bases.k), (c * sw).ravel(),
+                                    rcond=None)
         cd_new, matches = _chamfer_and_match(cKDTree(op.points(bases, z_new)),
                                              target_tree)
         if cd_new < best_cd:
@@ -245,22 +260,17 @@ def _solve_bases_matched(ops, targets, coeffs, corrs, k: int, n_t: int,
     """Closed-form least squares for B with coefficients and matches fixed.
 
     Coordinate axes decouple; the normal matrix is shared across axes:
-    sum_pairs (z z^T) kron (G^T G) over both matching directions.
+    sum_pairs (z z^T) kron (G^T diag(w) G), with each pair's matched
+    objective in the per-sample form of ``_merged_rows``.
     """
     dim = k * n_t
     m = np.zeros((dim, dim))
     rhs = np.zeros((dim, 3))
     for op, tgt, z, (fwd, back) in zip(ops, targets, coeffs, corrs):
-        n_src, n_tgt = op.p0.shape[0], tgt.shape[0]
-        zz = np.outer(z, z)
-        g = op.g
-        gb = g[back]
-        gram = g.T @ g / n_src + gb.T @ gb / n_tgt
-        m += np.kron(zz, gram)
-        r_f = tgt[fwd] - op.p0
-        r_b = tgt - op.p0[back]
-        gr = g.T @ r_f / n_src + gb.T @ r_b / n_tgt  # (N_t, 3)
-        rhs += np.kron(z[:, None], gr)
+        w, c = _merged_rows(op, tgt, fwd, back)
+        gw = op.g * w[:, None]
+        m += np.kron(np.outer(z, z), gw.T @ op.g)
+        rhs += np.kron(z[:, None], gw.T @ c)  # (N_t, 3) per basis
     m += ridge * np.trace(m) / dim * np.eye(dim) + ridge * np.eye(dim)
     sol = np.linalg.solve(m, rhs)  # (K*N_t, 3)
     return sol.reshape(k, n_t, 3)

@@ -315,6 +315,26 @@ def _solve_matched(op: DeformOperator, bases: BasisSet, targets: np.ndarray,
     return z
 
 
+def solve_bases_two_block(ops, targets, coeffs, corrs, k: int, n_t: int,
+                          ridge: float = 1e-9) -> np.ndarray:
+    """``basis._solve_bases_matched`` with separate forward and backward terms."""
+    dim = k * n_t
+    m = np.zeros((dim, dim))
+    rhs = np.zeros((dim, 3))
+    for op, tgt, z, (fwd, back) in zip(ops, targets, coeffs, corrs):
+        n_src, n_tgt = op.p0.shape[0], tgt.shape[0]
+        g = op.g
+        gb = g[back]
+        gram = g.T @ g / n_src + gb.T @ gb / n_tgt
+        m += np.kron(np.outer(z, z), gram)
+        r_f = tgt[fwd] - op.p0
+        r_b = tgt - op.p0[back]
+        gr = g.T @ r_f / n_src + gb.T @ r_b / n_tgt  # (N_t, 3)
+        rhs += np.kron(z[:, None], gr)
+    m += ridge * np.trace(m) / dim * np.eye(dim) + ridge * np.eye(dim)
+    return np.linalg.solve(m, rhs).reshape(k, n_t, 3)
+
+
 def fit_coefficient_rebuilding(bases: BasisSet, op: DeformOperator,
                                target_points: np.ndarray, tol: float = 1e-8,
                                max_rounds: int = 50,
@@ -322,8 +342,9 @@ def fit_coefficient_rebuilding(bases: BasisSet, op: DeformOperator,
     """``basis.fit_coefficient`` rebuilding everything every round.
 
     Each round recomputes the per-basis sample offsets and the whole
-    least-squares system, matches the points at the best z with two fresh
-    KD-trees, and measures the candidate with ``chamfer_distance``.
+    two-block least-squares system of ``_solve_matched`` (a row per source
+    sample and a row per target), matches the points at the best z with two
+    fresh KD-trees, and measures the candidate with ``chamfer_distance``.
     """
     targets = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
     z = np.zeros(bases.k) if z0 is None else np.array(z0, dtype=np.float64)
