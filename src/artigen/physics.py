@@ -65,13 +65,15 @@ class CollisionReport:
         }
 
 
-def face_normals(mesh: TriMesh) -> np.ndarray:
+def face_normals(mesh: TriMesh, names: np.ndarray | None = None) -> np.ndarray:
+    """Unit face normals; a zero-area face raises, named by its row or ``names[row]``."""
     tri = mesh.vertices[mesh.faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(cross, axis=1)
     bad = np.nonzero(norms < 1e-15)[0]
     if bad.size:
-        raise ValueError(f"degenerate face {int(bad[0])}: zero area")
+        name = bad[0] if names is None else names[bad[0]]
+        raise ValueError(f"degenerate face {int(name)}: zero area")
     return cross / norms[:, None]
 
 
@@ -295,6 +297,46 @@ def _sweep_pairs(coords, v_all, first, end, vi, fi, nrm, pd, frames, cells,
     return found
 
 
+def _face_copies(ref: TriMesh, n_groups: int) -> np.ndarray:
+    """``(n_groups, faces per group)`` mask of the faces that repeat group 0.
+
+    A face is a copy when its three corners equal those of the same face of
+    group 0 bit for bit; group 0's own row is all False. Bits, not float
+    equality, so a corner at -0.0 does not copy one at 0.0.
+    """
+    corners = ref.vertices[ref.faces].view(np.uint64).reshape(n_groups, -1, 9)
+    copies = np.zeros(corners.shape[:2], dtype=bool)
+    copies[1:] = (corners[1:] == corners[0]).all(axis=2)
+    return copies
+
+
+def _sweep_shared(v_all: np.ndarray, ref: TriMesh, copies: np.ndarray):
+    """``_sweep_crossings`` and the face normals, sweeping no copy twice.
+
+    ``copies`` is ``_face_copies(ref, n_groups)``. Only group 0 and the
+    faces that differ from it are swept. A copy has its group-0 face's
+    normal, plane offset, frame and depths, so each crossing of a group-0
+    face is given to every copy of it, and one sort restores the (t, v, f)
+    order: the triples, depths and normals are bitwise the full sweep's.
+    """
+    gsize = copies.shape[1]
+    kept = np.flatnonzero(~copies)
+    sub = TriMesh(ref.vertices, ref.faces[kept])
+    normals = face_normals(sub, kept)
+    ti, vi, fi, d = _sweep_crossings(v_all, sub, normals)
+    fi = kept[fi]
+    on0 = np.flatnonzero(fi < gsize)
+    g, c = np.nonzero(copies[:, fi[on0]])
+    src = np.concatenate([np.arange(ti.size), on0[c]])
+    fi = np.concatenate([fi, fi[on0[c]] + g * gsize])
+    order = np.lexsort((fi, vi[src], ti[src]))
+    src = src[order]
+    # group 0 leads the kept faces, so a copy of face l reads row l
+    row = np.tile(np.arange(gsize), len(copies))
+    row[kept] = np.arange(kept.size)
+    return ti[src], vi[src], fi[order], d[src], normals[row]
+
+
 @dataclass
 class SimResult:
     pene: float
@@ -325,7 +367,10 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     equal-topology references. Group ``g`` stands for ``group_counts[g]``
     identical references: the totals and gradients weight its crossings by
     that count, as if the reference held every copy. Without it the whole
-    reference is one group of count 1.
+    reference is one group of count 1. A face whose corners repeat those of
+    the same face of group 0 bit for bit (a fixed part posed alike in every
+    group) is swept once: group 0's crossings are given to each copy, so the
+    result is bitwise that of sweeping every face.
 
     Only vertex-face pairs that can cross are swept. A pair is kept when
     the box around the vertex's swept positions, grown by its step length,
@@ -361,7 +406,6 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     if not (np.isfinite(mov.vertices).all() and np.isfinite(ref.vertices).all()):
         raise ValueError("non-finite mover or reference vertices")
 
-    normals = face_normals(ref)
     rots, v_all = _swept_vertices(mov.vertices, joint, n_steps)
     nv, nf = mov.n_vertices, ref.n_faces
     gsize = nf // n_groups
@@ -369,7 +413,12 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     # the loss is normalized by the face count of the reference with every copy
     scale = 1.0 / (n_steps * nv * (gsize * n_total))
 
-    ti, vi, fi, d = _sweep_crossings(v_all, ref, normals)
+    copies = _face_copies(ref, n_groups) if n_groups > 1 else None
+    if copies is not None and copies.any():
+        ti, vi, fi, d, normals = _sweep_shared(v_all, ref, copies)
+    else:
+        normals = face_normals(ref)
+        ti, vi, fi, d = _sweep_crossings(v_all, ref, normals)
     if ti.size == 0:
         return zero
 
@@ -482,7 +531,9 @@ def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
             # every detection process shares the mover trajectory and has an
             # equal-topology reference, so one stacked simulation covers all;
             # detections that draw the same states share one reference, kept
-            # in first-draw order and weighted by how many detections drew it
+            # in first-draw order and weighted by how many detections drew it,
+            # and faces posed alike in every reference (a fixed root) are
+            # swept once
             refs, first, inverse = [], {}, []
             for det in range(cfg.n_det):
                 rng = np.random.default_rng([cfg.seed, i, det])

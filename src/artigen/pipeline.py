@@ -229,6 +229,12 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     rec = read_json(path, PipelineError)
+    if not isinstance(rec, dict):
+        raise PipelineError(f"{path}: top level must be a JSON object, got "
+                            f"{type(rec).__name__}")
+    missing = [key for key in ("k", "convexes") if key not in rec]
+    if missing:
+        raise PipelineError(f"{path}: model has no {' or '.join(map(repr, missing))}")
     if rec.get("epsilon", CAGE_EPSILON) != CAGE_EPSILON:     # older files record it
         raise PipelineError(f"{path}: cages built with epsilon {rec['epsilon']!r}; "
                             f"this build rebuilds cages only with {CAGE_EPSILON}")

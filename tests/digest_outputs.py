@@ -9,8 +9,11 @@ writes the 5-shot fixture eyeglasses dataset to ``OUT/data`` and runs, with
 finetune ``--pretrained``, finetune ``--pretrained`` of a second dataset
 (fixture seed 5, in ``OUT/data/seed5``), finetune with ``--config`` setting
 ``k`` to 3 (so the 4 targets outnumber the bases), sample ``-n 4``, sample
-``--z-zero``, simulate, correct, and eval of both sample sets (the
-``--z-zero`` set is 40 copies of one shape). It then prints
+``--z-zero``, simulate, simulate of the same object with the legs'
+``ref_states`` removed (in ``OUT/data/glasses_01/object_free.json``, so each
+leg's detection processes pose the other leg at distinct states and share
+the frame), correct, and eval of both sample sets (the ``--z-zero`` set is
+40 copies of one shape). It then prints
 ``<sha256>  <path>`` for every output under ``OUT`` except ``run.json``
 (which holds a timestamp). Run it on two checkouts and diff the listings to
 see which outputs a change moved.
@@ -146,6 +149,11 @@ def main(argv: list[str]) -> int:
     dataset = write_eyeglasses_dataset(out / "data", n=5, seed=0)
     other = write_eyeglasses_dataset(out / "data/seed5", n=5, seed=5)
     ref = out / "data/glasses_01/object.json"
+    free = ref.with_name("object_free.json")
+    manifest = json.loads(ref.read_text())
+    for part in manifest["parts"]:
+        part.pop("ref_states", None)
+    free.write_text(json.dumps(manifest, indent=2))
     k3 = out / "data/k3.json"
     k3.write_text(json.dumps({"k": 3}))
     model = out / "finetune/model.json"
@@ -160,6 +168,7 @@ def main(argv: list[str]) -> int:
         ["sample", model, ref, out / "sample", "-n", "4"],
         ["sample", model, ref, out / "sample_zero", "--z-zero"],
         ["simulate", ref, out / "simulate"],
+        ["simulate", free, out / "simulate_free"],
         ["correct", model, ref, out / "correct"],
         ["eval", out / "sample", dataset, out / "eval"],
         ["eval", out / "sample_zero", dataset, out / "eval_zero"],

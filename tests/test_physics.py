@@ -459,12 +459,28 @@ def _budget_cases():
                           for x in (0.3, 0.6, 0.85)])
     slide = Joint("prismatic", axis=np.array([1.0, 0.0, 0.0]),
                   pivot=np.zeros(3), range=(0.0, 0.6))
+    # stacked references whose groups share a fixed wall: a post the rod
+    # hits at three angles, and a second slab of which the last group
+    # repeats the first whole
+    posts = merge_meshes([merge_meshes([wall, simple_box(
+        (0.06, 0.06, 0.8), (0.3 * np.cos(a), 0.3 * np.sin(a), 0.0))])
+        for a in (0.3, 0.7, 1.1)])
+    slabs = merge_meshes([merge_meshes([simple_box((0.1, 2.4, 1.2), (0.3, 0.0, 0.0)),
+                                        simple_box((0.1, 2.4, 1.2), (x, 0.0, 0.0))])
+                          for x in (0.6, 0.85, 0.6)])
     return {
         "revolute": (rod, wall, hinge, 60, None),
         "revolute_groups": (rod, walls, hinge, 45, np.array([2, 1, 3])),
         "prismatic_groups": (grid_box(3, (0.4, 0.3, 0.3)), walls, slide, 37,
                              np.array([1, 4, 1])),
+        "revolute_shared": (rod, posts, hinge, 45, np.array([2, 1, 3])),
+        "prismatic_shared": (grid_box(3, (0.4, 0.3, 0.3)), slabs, slide, 37,
+                             np.array([1, 4, 1])),
     }
+
+
+def _no_copies(ref, n_groups):
+    return np.zeros((n_groups, ref.n_faces // n_groups), dtype=bool)
 
 
 def _result_bytes(res):
@@ -480,15 +496,96 @@ def test_sweep_is_bit_identical_across_budgets(case, want_grad, monkeypatch):
     mov, ref, joint, n_steps, counts = _budget_cases()[case]
     step = mov.n_vertices * ref.n_faces * 8
     got = []
-    # one step per block, a few steps per block, the whole sweep in one block
+    # one step per block, a few steps per block, the whole sweep in one block;
+    # each with the faces that repeat group 0 swept once and swept every time
     for budget in (step, 7 * step, (n_steps + 1) * step):
         monkeypatch.setattr(physics, "_SWEEP_BYTES", budget)
-        res = single_simulation(mov, ref, joint, n_steps, want_grad=want_grad,
-                                group_counts=counts)
-        assert (res.proj_grad_v is not None) == want_grad
-        assert res.crossings[0].size > 0
-        got.append(_result_bytes(res))
-    assert got[0] == got[1] == got[2]
+        for share in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not share:
+                    mp.setattr(physics, "_face_copies", _no_copies)
+                res = single_simulation(mov, ref, joint, n_steps,
+                                        want_grad=want_grad, group_counts=counts)
+            assert (res.proj_grad_v is not None) == want_grad
+            assert res.crossings[0].size > 0
+            got.append(_result_bytes(res))
+    assert all(g == got[0] for g in got[1:])
+
+
+@pytest.mark.parametrize("case", ["revolute_shared", "prismatic_shared"])
+def test_shared_faces_are_swept_once(case, monkeypatch):
+    mov, ref, joint, n_steps, counts = _budget_cases()[case]
+    copies = physics._face_copies(ref, len(counts))
+    swept = []
+    sweep = physics._sweep_crossings
+
+    def spy(v_all, swept_ref, normals):
+        swept.append(swept_ref.n_faces)
+        return sweep(v_all, swept_ref, normals)
+
+    monkeypatch.setattr(physics, "_sweep_crossings", spy)
+    res = single_simulation(mov, ref, joint, n_steps, group_counts=counts)
+    assert swept == [int((~copies).sum())] and swept[0] < ref.n_faces
+    _, v_all = physics._swept_vertices(mov.vertices, joint, n_steps)
+    want = dense_sweep_crossings(v_all, ref, face_normals(ref))
+    for g, w in zip(res.crossings, want[:3]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    # crossings of the faces that were not swept themselves
+    assert copies.ravel()[res.crossings[2]].any()
+
+
+def _with_face(mesh, corners):
+    """``mesh`` plus one face on three new vertices."""
+    n = mesh.n_vertices
+    return TriMesh(np.vstack([mesh.vertices, corners]),
+                   np.vstack([mesh.faces, [[n, n + 1, n + 2]]]))
+
+
+@pytest.mark.parametrize("bad_group", [0, 1])
+def test_degenerate_face_keeps_its_index_when_shared(bad_group):
+    # a zero-area face in the wall every group shares, or in group 1's post only
+    wall, rod, hinge = hinge_wall_rod()
+    line = [[0.6, 0.0, 0.0], [0.6, 0.1, 0.0], [0.6, 0.2, 0.0]]
+    tri = [[0.6, 0.0, 0.0], [0.6, 0.1, 0.0], [0.6, 0.0, 0.1]]
+    groups = []
+    for g, a in enumerate((0.3, 0.7, 1.1)):
+        post = simple_box((0.06, 0.06, 0.8), (0.3 * np.cos(a), 0.3 * np.sin(a), 0.0))
+        groups.append(merge_meshes([
+            _with_face(wall, line if bad_group == 0 else tri),
+            _with_face(post, line if bad_group == g == 1 else tri)]))
+    ref = merge_meshes(groups)
+    # the first zero-area face of the whole stack: the wall's 13th face of
+    # group 0, or the post's 13th face of group 1
+    want = 12 if bad_group == 0 else groups[0].n_faces + 13 + 12
+    if bad_group == 0:
+        assert physics._face_copies(ref, 3)[1:, 12].all()
+    for share in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if not share:
+                mp.setattr(physics, "_face_copies", _no_copies)
+            with pytest.raises(ValueError, match=f"^degenerate face {want}: "):
+                single_simulation(rod, ref, hinge, 10,
+                                  group_counts=np.array([1, 1, 1]))
+
+
+def test_face_copies_compare_bits_not_values(monkeypatch):
+    # a wall with corners at y = 0 and z = 0, and its copy with those at -0.0
+    _, rod, hinge = hinge_wall_rod()
+    wall = grid_box(4, (0.1, 2.4, 1.2), (0.6, 0.0, 0.0))
+    signed = TriMesh(np.where(wall.vertices == 0.0, -0.0, wall.vertices), wall.faces)
+    assert np.array_equal(signed.vertices, wall.vertices)
+    ref = merge_meshes([wall, signed, wall])
+    copies = physics._face_copies(ref, 3)
+    touches_zero = (wall.vertices[wall.faces] == 0.0).any(axis=(1, 2))
+    assert touches_zero.any() and not touches_zero.all()
+    assert np.array_equal(copies[1], ~touches_zero) and copies[2].all()
+    got = single_simulation(rod, ref, hinge, 30, want_grad=True,
+                            group_counts=np.array([1, 2, 1]))
+    monkeypatch.setattr(physics, "_face_copies", _no_copies)
+    want = single_simulation(rod, ref, hinge, 30, want_grad=True,
+                             group_counts=np.array([1, 2, 1]))
+    assert got.crossings[0].size > 0
+    assert _result_bytes(got) == _result_bytes(want)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)

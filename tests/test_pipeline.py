@@ -166,6 +166,20 @@ def test_model_file_with_old_epsilon(finetuned, workdir, tmp_path):
         load_model(old)
 
 
+@pytest.mark.parametrize("content, what", [
+    (b"[1, 2]", "top level must be a JSON object, got list"),
+    (b"3", "top level must be a JSON object, got int"),
+    (b'{"convexes": []}', "model has no 'k'"),
+    (b'{"k": 3}', "model has no 'convexes'"),
+    (b"{}", "model has no 'k' or 'convexes'"),
+], ids=["list", "number", "no_k", "no_convexes", "empty"])
+def test_load_model_rejects_wrong_shapes(tmp_path, content, what):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(PipelineError, match=re.escape(f"{path}: {what}")):
+        load_model(path)
+
+
 @pytest.mark.parametrize("text", ["[0.5, 1.0]", '["a"]', '["a", 1, 2]',
                                   "[NaN, 0, 0]", "[0, -Infinity, 0]",
                                   "[true, 0, 0]", '{"z": [0, 0, 0]}'])
