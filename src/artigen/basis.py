@@ -28,6 +28,8 @@ class FitConfig:
     def __post_init__(self):
         if min(self.lambda_orth, self.lambda_sp) < 0:
             raise ValueError("loss weights must be non-negative")
+        if self.chamfer_samples < 1:
+            raise ValueError("chamfer_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,14 @@ def chamfer_distance(p: np.ndarray | cKDTree, q: np.ndarray | cKDTree) -> float:
     Either cloud may be passed as a ``cKDTree`` built on it, so a caller that
     compares one cloud with many builds its tree once.
     """
-    tp, tq = (x if isinstance(x, cKDTree)
-              else cKDTree(np.asarray(x, dtype=np.float64).reshape(-1, 3))
-              for x in (p, q))
-    return _chamfer_and_match(tp, tq)[0]
+    return _chamfer_and_match(*kd_trees((p, q)))[0]
+
+
+def kd_trees(clouds) -> list[cKDTree]:
+    """A KD-tree per cloud; clouds passed as trees are kept as they are."""
+    return [c if isinstance(c, cKDTree)
+            else cKDTree(np.asarray(c, dtype=np.float64).reshape(-1, 3))
+            for c in clouds]
 
 
 def _chamfer_and_match(tp: cKDTree, tq: cKDTree):
@@ -220,11 +226,6 @@ def _penalties(b: np.ndarray, lambda_orth: float, lambda_sp: float):
             grad[j] += lambda_orth * 2.0 * r * gj
     grad += lambda_sp * np.sign(flat) / flat.size
     return float(l_orth), float(np.abs(flat).sum() / flat.size), grad.reshape(b.shape)
-
-
-def regularizers(bases: BasisSet) -> tuple[float, float]:
-    """(orthogonality penalty, l1 sparsity penalty)."""
-    return _penalties(bases.bases, 0.0, 0.0)[:2]
 
 
 def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs,

@@ -43,8 +43,6 @@ def _build_config(args) -> PipelineConfig:
         cfg.seed = cfg.sim.seed = args.seed
     if getattr(args, "lambda_phy", None) is not None:
         cfg.lambda_phy = args.lambda_phy
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     return cfg
 
 
@@ -74,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON or TOML config override file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--profile", choices=("paper", "desk"), default="paper")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="per-convex fits run in parallel during pretrain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="fit per-convex deformation bases")

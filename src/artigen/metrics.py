@@ -7,14 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .basis import chamfer_distance
-
-
-def _trees(clouds: list[np.ndarray | cKDTree]) -> list[cKDTree]:
-    """A KD-tree per cloud; clouds passed as trees are kept as they are."""
-    return [c if isinstance(c, cKDTree)
-            else cKDTree(np.asarray(c, dtype=np.float64).reshape(-1, 3))
-            for c in clouds]
+from .basis import chamfer_distance, kd_trees
 
 
 def pairwise_chamfer(gen: list[np.ndarray | cKDTree],
@@ -24,9 +17,9 @@ def pairwise_chamfer(gen: list[np.ndarray | cKDTree],
     Clouds may be passed as KD-trees built on them, as ``evaluate`` does so
     that ``one_nna`` reuses the same trees.
     """
-    ref_trees = _trees(ref)
+    ref_trees = kd_trees(ref)
     d = np.empty((len(gen), len(ref)))
-    for i, g in enumerate(_trees(gen)):
+    for i, g in enumerate(kd_trees(gen)):
         for j, r in enumerate(ref_trees):
             d[i, j] = chamfer_distance(g, r)
     return d
@@ -120,7 +113,7 @@ def one_nna(gen: list[np.ndarray | cKDTree], ref: list[np.ndarray | cKDTree],
     """
     if not gen or not ref:
         raise ValueError("one_nna needs non-empty sets")
-    gen_trees, ref_trees = _trees(gen), _trees(ref)
+    gen_trees, ref_trees = kd_trees(gen), kd_trees(ref)
     if d is None:
         d = pairwise_chamfer(gen_trees, ref_trees)
     # d holds each cloud's nearest cloud of the other set, so a cloud is
@@ -202,7 +195,7 @@ def evaluate(gen: list[np.ndarray], ref: list[np.ndarray],
     # JSD first, so its voxel temporaries are gone before the trees are built
     div = jsd(gen, ref)
     # one KD-tree per cloud serves both the gen x ref block and 1-NNA
-    gen_trees, ref_trees = _trees(gen), _trees(ref)
+    gen_trees, ref_trees = kd_trees(gen), kd_trees(ref)
     d = pairwise_chamfer(gen_trees, ref_trees)
     return EvalResult(
         mmd=mmd(gen, ref, d), cov=cov(gen, ref, d),

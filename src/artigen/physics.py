@@ -318,6 +318,8 @@ def _sweep_shared(v_all: np.ndarray, ref: TriMesh, copies: np.ndarray):
     normal, plane offset, frame and depths, so each crossing of a group-0
     face is given to every copy of it, and one sort restores the (t, v, f)
     order: the triples, depths and normals are bitwise the full sweep's.
+    With no copy (one group, say) every face is swept and the sort keeps the
+    order as it is.
     """
     gsize = copies.shape[1]
     kept = np.flatnonzero(~copies)
@@ -413,12 +415,7 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     # the loss is normalized by the face count of the reference with every copy
     scale = 1.0 / (n_steps * nv * (gsize * n_total))
 
-    copies = _face_copies(ref, n_groups) if n_groups > 1 else None
-    if copies is not None and copies.any():
-        ti, vi, fi, d, normals = _sweep_shared(v_all, ref, copies)
-    else:
-        normals = face_normals(ref)
-        ti, vi, fi, d = _sweep_crossings(v_all, ref, normals)
+    ti, vi, fi, d, normals = _sweep_shared(v_all, ref, _face_copies(ref, n_groups))
     if ti.size == 0:
         return zero
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -46,9 +45,12 @@ class PipelineConfig:
     finetune_outer_iters: int = 10
     eval_points: int = 4096
     seed: int = 0
-    jobs: int = 1
     fit: FitConfig = field(default_factory=FitConfig)
     sim: SimConfig = field(default_factory=SimConfig)
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
 
 def desk_profile(cfg: PipelineConfig | None = None) -> PipelineConfig:
@@ -238,7 +240,10 @@ def load_model(path) -> Model:
     if rec.get("epsilon", CAGE_EPSILON) != CAGE_EPSILON:     # older files record it
         raise PipelineError(f"{path}: cages built with epsilon {rec['epsilon']!r}; "
                             f"this build rebuilds cages only with {CAGE_EPSILON}")
-    return Model.from_dict(rec)
+    try:
+        return Model.from_dict(rec)
+    except (KeyError, TypeError, ValueError) as e:
+        raise PipelineError(f"{path}: malformed model: {type(e).__name__}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +319,23 @@ def _convex_seed(cfg: PipelineConfig, pi: int, ci: int) -> int:
 def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
     """Fit per-convex deformation bases on all correspondence pairs.
 
-    Convexes are fitted independently, ``cfg.jobs`` at a time.
+    Convexes are fitted independently, one after another.
     """
     ds = load_dataset(dataset_path)
     if len(ds.objects) < 2:
         raise PipelineError("pretraining needs at least 2 corresponding objects")
     source, targets = ds.objects[0], ds.objects[1:]
 
-    def fit_one(flat_convex) -> ConvexModel:
-        pi, ci, convex = flat_convex
+    convexes = []
+    for pi, ci, convex in _flat_convexes(source):
         cage = build_cage(convex)
         fit = fit_bases([(convex, t.parts[pi].convexes[ci]) for t in targets],
                         cage, cfg.k, cfg=cfg.fit, seed=_convex_seed(cfg, pi, ci))
-        return ConvexModel(
+        convexes.append(ConvexModel(
             part_index=pi, convex_index=ci, cage=cage, bases=fit.bases,
             coeffs=np.stack(fit.coeffs), loss_history=fit.loss_history,
             converged=fit.converged,
-        )
-
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        convexes = list(pool.map(fit_one, _flat_convexes(source)))
+        ))
 
     model = Model(k=cfg.k, convexes=convexes, source_manifest=ds.paths[0],
                   seed=cfg.seed)

@@ -11,10 +11,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from artigen import physics
-from artigen.basis import BasisSet, CoeffFit, DeformOperator, chamfer_distance
+from artigen.basis import (
+    BasisSet,
+    CoeffFit,
+    DeformOperator,
+    chamfer_distance,
+    kd_trees,
+)
 from artigen.cage import Cage
 from artigen.mesh import Joint, TriMesh, merge_meshes
-from artigen.metrics import _trees, pairwise_chamfer
+from artigen.metrics import pairwise_chamfer
 from artigen.physics import (
     _BARY_TOL,
     CollisionReport,
@@ -539,7 +545,7 @@ def self_chamfer(clouds) -> np.ndarray:
     Symmetric Chamfer adds the same two means in either order, so the mirror
     is exact; the diagonal is CD(x, x) = 0.
     """
-    trees = _trees(clouds)
+    trees = kd_trees(clouds)
     d = np.zeros((len(clouds), len(clouds)))
     for i, j in zip(*np.triu_indices(len(clouds), 1)):
         d[i, j] = d[j, i] = chamfer_distance(trees[i], trees[j])

@@ -6,13 +6,13 @@ from artigen.basis import (
     DeformOperator,
     FitConfig,
     _merged_rows,
+    _penalties,
     _solve_bases_matched,
     basis_objective_and_grad,
     chamfer_distance,
     fit_bases,
     fit_coefficient,
     fit_gmm,
-    regularizers,
     sample_gmm,
 )
 from artigen.cage import Cage, build_cage, weight_matrix
@@ -260,7 +260,7 @@ def test_basis_objective_matches_two_pass_oracle(rng, case, lambdas):
                                                     *lambdas)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
-    assert regularizers(BasisSet(b)) == regularizers_oracle(BasisSet(b))
+    assert _penalties(b, 0.0, 0.0)[:2] == regularizers_oracle(BasisSet(b))
 
 
 def test_basis_objective_rejects_non_finite_bases(rng):
@@ -293,7 +293,7 @@ def test_regularizers_zero_for_orthogonal():
     b = np.zeros((2, 2, 3))
     b[0, 0, 0] = 1.0
     b[1, 1, 1] = 1.0
-    l_orth, l_sp = regularizers(BasisSet(b))
+    l_orth, l_sp = _penalties(b, 0.0, 0.0)[:2]
     assert l_orth == 0.0
     assert l_sp == pytest.approx(2.0 / (2 * 6))
 

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from artigen import metrics
-from artigen.basis import chamfer_distance
+from artigen import basis, metrics
+from artigen.basis import chamfer_distance, kd_trees
 from artigen.metrics import (
     EvalResult,
     _box_lower_bounds,
-    _trees,
     cov,
     evaluate,
     jsd,
@@ -170,7 +169,7 @@ def test_box_lower_bound_below_chamfer(rng, case):
         clouds = [c + 1e6 for c in clouds]
     elif case in ("tiny", "huge"):
         clouds = [c * (1e-150 if case == "tiny" else 1e150) for c in clouds]
-    trees = _trees(clouds)
+    trees = kd_trees(clouds)
     lb = _box_lower_bounds(trees)
     cd = np.array([[chamfer_distance(p, q) for q in trees] for p in trees])
     assert np.all(lb <= cd)
@@ -236,7 +235,7 @@ def test_evaluate_builds_one_tree_per_cloud(rng, monkeypatch):
             built.append(len(data))
             super().__init__(data, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+    monkeypatch.setattr(basis, "cKDTree", CountingTree)
     res = evaluate(gen, ref)
     assert len(built) == len(gen) + len(ref)
     monkeypatch.undo()

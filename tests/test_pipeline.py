@@ -120,15 +120,6 @@ def test_pretrain_writes_model_and_losses_decrease(pretrained):
         assert cm.coeffs.shape == (2, 3)  # 2 targets, K=3
 
 
-def test_pretrain_jobs_write_identical_model(workdir, pretrained, tmp_path):
-    _, ds = workdir
-    _, path = pretrained
-    cfg = tiny_config()
-    cfg.jobs = 2
-    cmd_pretrain(ds, tmp_path / "model.json", cfg)
-    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
-
-
 def test_model_round_trips(pretrained, tmp_path):
     model, _ = pretrained
     p = tmp_path / "copy.json"
@@ -172,7 +163,13 @@ def test_model_file_with_old_epsilon(finetuned, workdir, tmp_path):
     (b'{"convexes": []}', "model has no 'k'"),
     (b'{"k": 3}', "model has no 'convexes'"),
     (b"{}", "model has no 'k' or 'convexes'"),
-], ids=["list", "number", "no_k", "no_convexes", "empty"])
+    (b'{"k": 3, "convexes": [{}]}', "malformed model: KeyError: 'part_index'"),
+    (b'{"k": 3, "convexes": 3}',
+     "malformed model: TypeError: 'int' object is not iterable"),
+    (b'{"k": 3, "convexes": [], "gmm": {"means": 1}}',
+     "malformed model: KeyError: 'variances'"),
+], ids=["list", "number", "no_k", "no_convexes", "empty", "convex_no_keys",
+        "convexes_number", "gmm_no_variances"])
 def test_load_model_rejects_wrong_shapes(tmp_path, content, what):
     path = tmp_path / "model.json"
     path.write_bytes(content)
@@ -526,12 +523,29 @@ def test_apply_overrides():
         apply_overrides(PipelineConfig(), {"sim": {"n_steps": 0}})
 
 
+@pytest.mark.parametrize("rec, match", [
+    ({"k": 0}, "k must be >= 1"),
+    ({"k": -2}, "k must be >= 1"),
+    ({"fit": {"chamfer_samples": 0}}, "chamfer_samples must be >= 1"),
+])
+def test_out_of_range_sizes_are_config_errors(tmp_path, rec, match):
+    from artigen.cli import main
+
+    with pytest.raises(ValueError, match=match):
+        apply_overrides(PipelineConfig(), rec)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(ValueError, match=match):
+        main(["--config", str(path), "simulate", "m", str(tmp_path / "out")])
+
+
 @pytest.mark.parametrize("key", ["epsilon", "blend_radius_rel", "gmm_components",
                                  "n_samples_per_reference", "proj_train",
-                                 "proj_test"])
+                                 "proj_test", "jobs"])
 def test_apply_overrides_rejects_removed_settings(key):
     # these are module constants now: CAGE_EPSILON, build_deformable's and
-    # fit_gmm's defaults, SAMPLES_PER_REFERENCE, TRAIN_PROJ and TEST_PROJ
+    # fit_gmm's defaults, SAMPLES_PER_REFERENCE, TRAIN_PROJ and TEST_PROJ;
+    # pretraining fits its convexes one after another, so no worker count
     with pytest.raises(PipelineError, match=f"unknown config key '{key}'"):
         apply_overrides(PipelineConfig(), {key: {}})
 
@@ -639,21 +653,23 @@ def test_cli_run_json_records_outcome(workdir, tmp_path):
     assert err.keys() >= {"timestamp", "args", "config"}
 
 
-def test_cli_config_file_jobs_and_seed(tmp_path):
+def test_cli_config_file_and_seed(tmp_path):
     from artigen.cli import _build_config, build_parser
 
     def build(*flags):
         return _build_config(build_parser().parse_args([*flags, "simulate", "m", "o"]))
 
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"jobs": 2, "seed": 3}))
+    path.write_text(json.dumps({"seed": 3}))
     cfg = build("--config", str(path))
-    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (2, 3, 3)
-    cfg = build("--config", str(path), "--jobs", "4", "--seed", "5")
-    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (4, 5, 5)
+    assert (cfg.seed, cfg.sim.seed) == (3, 3)
+    cfg = build("--config", str(path), "--seed", "5")
+    assert (cfg.seed, cfg.sim.seed) == (5, 5)
     path.write_text(json.dumps({"seed": 3, "sim": {"seed": 9}}))
     cfg = build("--config", str(path))
-    assert (cfg.jobs, cfg.seed, cfg.sim.seed) == (1, 3, 9)
+    assert (cfg.seed, cfg.sim.seed) == (3, 9)
+    with pytest.raises(SystemExit):
+        build("--jobs", "2")
 
 
 def test_cli_rejects_unknown_command():
