@@ -11,11 +11,13 @@ import numpy as np
 from .mesh import TriMesh
 
 _TOL = 1e-12
+# |triple product| above which its sign is that of the LU determinant
+_DET_TOL = 1e-12
 # bytes of mean value coordinate temporaries one block of points may hold
 _MVC_BYTES = 2 << 20
-# those temporaries per point and cage face at their peak: 37 float64 (23 KiB
-# per point on the 80-face template)
-_MVC_FACE_BYTES = 37 * 8
+# those temporaries per point and cage face at their peak: 33 float64 (21 KiB
+# per point on the 80-face template; tracemalloc of a 1,000-point block)
+_MVC_FACE_BYTES = 33 * 8
 CAGE_EPSILON = 0.05
 
 
@@ -99,71 +101,122 @@ def weight_matrix(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     out = np.empty((len(points), cage_mesh.n_vertices))
     step = max(1, _MVC_BYTES // (_MVC_FACE_BYTES * max(cage_mesh.n_faces, 1)))
+    edges = _corner_edges(cage_mesh.faces)
     for a in range(0, len(points), step):
-        out[a:a + step] = _mvc_rows(points[a:a + step], cage_mesh)
+        out[a:a + step] = _mvc_rows(points[a:a + step], cage_mesh, edges)
     return out
 
 
-def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh) -> np.ndarray:
-    """One block of ``weight_matrix``.
+def _corner_edges(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The undirected edges of faces F as two end arrays (e,), and for each
+    corner of each face the edge opposite it, (3, m)."""
+    n = int(F.max(initial=-1)) + 1
+    a, b = F[:, [1, 2, 0]], F[:, [2, 0, 1]]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    uniq, opposite = np.unique(key, return_inverse=True)
+    ea, eb = np.divmod(uniq, n)
+    return ea, eb, opposite.reshape(F.shape).T
+
+
+def _norm3(x, y, z):
+    """Euclidean norm of the vectors (x, y, z), summed in the order
+    ``np.linalg.norm`` sums a row of three."""
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _face_signs(x, y, z, F: np.ndarray) -> np.ndarray:
+    """Sign of det [u0; u1; u2] for the unit directions (x, y, z) of shape
+    (vertex, point) to the corners of each face, (m, n).
+
+    It is the sign of the triple product t where |t| exceeds ``_DET_TOL``,
+    and of LAPACK's LU determinant, as ``np.linalg.det`` takes it, nearer 0.
+    Where |t| exceeds it, both have the sign of the exact determinant of the
+    rounded directions: t is within about 2e-15 of it, and for unit rows the
+    LU determinant within about 4e-14 (growth factor at most 4 under partial
+    pivoting).
+    """
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = ([c[f] for f in F.T] for c in (x, y, z))
+    t = x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2) + z0 * (x1 * y2 - y1 * x2)
+    sign = np.sign(t)
+    near = np.abs(t) <= _DET_TOL
+    if near.any():
+        fi, pi = np.nonzero(near)
+        u = np.stack([c[F[fi], pi[:, None]] for c in (x, y, z)], axis=2)
+        sign[near] = np.sign(np.linalg.det(u))
+    return sign
+
+
+def _mvc_rows(points: np.ndarray, cage_mesh: TriMesh,
+              edges: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """One block of ``weight_matrix``; ``edges`` is ``_corner_edges`` of the
+    cage faces.
 
     A row goes through the same elementwise operations and per-row
     reductions as a one-point computation would, so its bits do not depend
-    on the block it is in.
+    on the block it is in. Per-vertex, per-edge and per-face arrays keep the
+    point last, and per-corner ones are lists of three (face, point) planes,
+    so the next and previous corner of corner i are planes i - 2 and i - 1.
     """
     V = cage_mesh.vertices
     F = cage_mesh.faces
     w = np.zeros((len(points), len(V)))
-    diff = V - points[:, None]
-    d = np.linalg.norm(diff, axis=2)
+    diff = V.T[:, :, None] - points.T[:, None]
+    d = _norm3(*diff)
     hit = d < _TOL
-    has_hit = hit.any(axis=1)
-    w[has_hit, hit[has_hit].argmax(axis=1)] = 1.0
-    rows = np.nonzero(~has_hit)[0]
-    if rows.size == 0:
-        return w
-    u = diff[rows] / d[rows, :, None]
+    has_hit = hit.any(axis=0)
+    rows = np.arange(len(points))
+    if has_hit.any():
+        w[has_hit, hit[:, has_hit].argmax(axis=0)] = 1.0
+        rows = rows[~has_hit]
+        if rows.size == 0:
+            return w
+        diff, d = diff[:, :, rows], d[:, rows]
+    x, y, z = diff / d
 
-    nxt, prv = [1, 2, 0], [2, 0, 1]
-    # orientation of the unit directions to each face's corners, (n, m)
-    sign = np.sign(np.linalg.det(np.take(u, F, axis=1)))
-    td = np.take(d[rows], F, axis=1)
-    # edge lengths on the unit sphere, opposite corner i
-    l = np.linalg.norm(np.take(u, F[:, nxt], axis=1) - np.take(u, F[:, prv], axis=1),
-                       axis=3)
-    theta = 2.0 * np.arcsin(np.clip(l / 2.0, 0.0, 1.0))
-    h = theta.sum(axis=2) / 2.0
+    sign = _face_signs(x, y, z, F)
+
+    # spherical edge length, angle and sine once per cage edge: the two
+    # faces of an edge see exactly negated differences
+    ea, eb, opposite = edges
+    theta_e = 2.0 * np.arcsin(np.clip(
+        _norm3(x[ea] - x[eb], y[ea] - y[eb], z[ea] - z[eb]) / 2.0, 0.0, 1.0))
+    sin_e = np.sin(theta_e)
+    theta = [theta_e[o] for o in opposite]
+    sin_t = [sin_e[o] for o in opposite]
+    td = [d[f] for f in F.T]
+    h = (theta[0] + theta[1] + theta[2]) / 2.0
 
     onface = np.pi - h < 1e-8
-    on = onface.any(axis=1)
+    on = onface.any(axis=0)
     if on.any():
-        fi = onface[on].argmax(axis=1)
-        tf, df = theta[on, fi], td[on, fi]
-        wf = np.sin(tf) * df[:, prv] * df[:, nxt]
+        fi = onface[:, on].argmax(axis=0)
+        sf, df = (np.stack([p[fi, on] for p in q], axis=1) for q in (sin_t, td))
+        wf = sf * df[:, [2, 0, 1]] * df[:, [1, 2, 0]]
         w[rows[on][:, None], F[fi]] = wf / wf.sum(axis=1, keepdims=True)
-        rows, sign, td, theta, h = (x[~on] for x in (rows, sign, td, theta, h))
+        keep = ~on
+        rows, sign, h = rows[keep], sign[:, keep], h[:, keep]
+        theta, sin_t, td = ([p[:, keep] for p in q] for q in (theta, sin_t, td))
         if rows.size == 0:
             return w
 
-    sin_t = np.sin(theta)
-    sin_n = np.take(sin_t, nxt, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = (2.0 * np.sin(h)[:, :, None] * np.sin(h[:, :, None] - theta)) / (
-            sin_n * np.take(sin_t, prv, axis=2)
-        ) - 1.0
-        s = sign[:, :, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+        sin_h2 = 2.0 * np.sin(h)
+        c = [sin_h2 * np.sin(h - theta[i]) / (sin_t[i - 2] * sin_t[i - 1]) - 1.0
+             for i in range(3)]
+        s = [sign * np.sqrt(np.clip(1.0 - ci * ci, 0.0, None)) for ci in c]
         # faces whose plane contains p but p projects outside them contribute 0
-        valid = (np.abs(s) > _TOL).all(axis=2)
-        wf = (theta - np.take(c, nxt, axis=2) * np.take(theta, prv, axis=2)
-              - np.take(c, prv, axis=2) * np.take(theta, nxt, axis=2)) / (
-            td * sin_n * np.take(s, prv, axis=2)
-        )
-    wf[~valid] = 0.0
+        valid = (np.abs(s[0]) > _TOL) & (np.abs(s[1]) > _TOL) & (np.abs(s[2]) > _TOL)
+        # (face, corner, point)
+        wf = np.empty((len(F), 3, len(rows)))
+        for i in range(3):
+            np.divide(theta[i] - c[i - 2] * theta[i - 1] - c[i - 1] * theta[i - 2],
+                      td[i] * sin_t[i - 2] * s[i - 1], out=wf[:, i])
+    wf.transpose(0, 2, 1)[~valid] = 0.0
 
-    # per row, the corner weights accumulate onto the cage vertices in face
-    # order, as ``np.add.at`` would for one point
+    # the corner weights accumulate onto the cage vertices in face order, as
+    # ``np.add.at`` would for one point
     nr, nt = len(rows), len(V)
-    at = (np.arange(nr)[:, None] * nt + F.ravel()).ravel()
+    at = (F[:, :, None] + np.arange(nr) * nt).ravel()
     acc = np.bincount(at, wf.ravel(), nr * nt).reshape(nr, nt)
     total = acc.sum(axis=1)
     if (np.abs(total) < _TOL).any():

@@ -215,12 +215,10 @@ def load_obj(path) -> TriMesh:
 def save_obj(mesh: TriMesh, path) -> None:
     if mesh.n_faces == 0:
         raise MeshError("refusing to save a mesh with no faces")
-    path = Path(path)
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,42 @@ def test_weight_matrix_matches_oracle_in_random_convex_cages(seed, n_points, sca
     _assert_matches_oracle(np.vstack([pts, _special_points(cage, rng)]), cage)
 
 
+def test_weight_matrix_takes_the_lu_sign_only_near_zero(monkeypatch):
+    rng = np.random.default_rng(14)
+    cage = _random_cage(rng)
+    tri = cage.vertices[cage.faces]
+    # on the line through an edge, inside and outside the edge: both faces of
+    # the edge see collinear corner directions
+    along = rng.choice([-0.5, 0.5, 1.5], size=(len(tri), 1))
+    on_line = tri[:, 0] + along * (tri[:, 1] - tri[:, 0])
+    pts = np.vstack([_interior_points(rng, 30), _special_points(cage, rng), on_line])
+    expect = weight_matrix_per_point(pts, cage)
+
+    # the unit corner directions of each face, for points on no cage vertex
+    diff = cage.vertices - pts[:, None]
+    diff = diff[(np.linalg.norm(diff, axis=2) >= cage_mod._TOL).all(axis=1)]
+    tu = (diff / np.linalg.norm(diff, axis=2, keepdims=True))[:, cage.faces]
+    t = np.einsum("pfi,pfi->pf", tu[:, :, 0], np.cross(tu[:, :, 1], tu[:, :, 2]))
+    close = np.abs(t) <= 1e-12
+    near = tu[close]
+    assert 0 < len(near) < t.size
+    # there the triple product's sign is not always LU's
+    assert (np.sign(t[close]) != np.sign(np.linalg.det(near))).any()
+
+    seen = []
+    det = np.linalg.det
+
+    def spy(a):
+        seen.append(np.array(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    w = weight_matrix(pts, cage)
+    assert w.tobytes() == expect.tobytes()
+    assert sorted(m.tobytes() for m in np.concatenate(seen)) == sorted(
+        m.tobytes() for m in near)
+
+
 def test_weight_matrix_degenerate_point_raises_like_oracle():
     # a flat two-sided cage: a point in its plane but off the triangle lies in
     # the plane of every face, so no face contributes and the weights sum to 0

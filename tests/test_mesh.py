@@ -44,6 +44,21 @@ def test_obj_round_trip(tmp_path):
     np.testing.assert_array_equal(m.faces, m2.faces)
 
 
+def test_save_obj_bytes_and_bit_exact_round_trip(tmp_path):
+    v = np.array([[-0.0, 5e-324, 0.1], [1e300, -1e300, 1.0 / 3.0], [0.0, -2.5e-308, 7.0]])
+    m = TriMesh(v, np.array([[0, 1, 2], [2, 1, 0]]))
+    # the per-row form over numpy scalars that save_obj has always written
+    expect = "".join(f"v {r[0]:.17g} {r[1]:.17g} {r[2]:.17g}\n" for r in m.vertices)
+    expect += "".join(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in m.faces)
+    path = tmp_path / "m.obj"
+    save_obj(m, path)
+    assert path.read_bytes() == expect.encode()
+    assert path.read_text().splitlines()[0] == "v -0 4.9406564584124654e-324 0.10000000000000001"
+    back = load_obj(path)
+    assert back.vertices.tobytes() == m.vertices.tobytes()
+    assert back.faces.tobytes() == m.faces.tobytes()
+
+
 def test_obj_fan_triangulation_and_negative_indices(tmp_path):
     path = tmp_path / "quad.obj"
     path.write_text(
