@@ -65,15 +65,14 @@ class CollisionReport:
         }
 
 
-def face_normals(mesh: TriMesh, names: np.ndarray | None = None) -> np.ndarray:
-    """Unit face normals; a zero-area face raises, named by its row or ``names[row]``."""
+def face_normals(mesh: TriMesh) -> np.ndarray:
+    """Unit face normals; a zero-area face raises, named by its row."""
     tri = mesh.vertices[mesh.faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     norms = np.linalg.norm(cross, axis=1)
     bad = np.nonzero(norms < 1e-15)[0]
     if bad.size:
-        name = bad[0] if names is None else names[bad[0]]
-        raise ValueError(f"degenerate face {int(name)}: zero area")
+        raise ValueError(f"degenerate face {int(bad[0])}: zero area")
     return cross / norms[:, None]
 
 
@@ -297,48 +296,6 @@ def _sweep_pairs(coords, v_all, first, end, vi, fi, nrm, pd, frames, cells,
     return found
 
 
-def _face_copies(ref: TriMesh, n_groups: int) -> np.ndarray:
-    """``(n_groups, faces per group)`` mask of the faces that repeat group 0.
-
-    A face is a copy when its three corners equal those of the same face of
-    group 0 bit for bit; group 0's own row is all False. Bits, not float
-    equality, so a corner at -0.0 does not copy one at 0.0.
-    """
-    corners = ref.vertices[ref.faces].view(np.uint64).reshape(n_groups, -1, 9)
-    copies = np.zeros(corners.shape[:2], dtype=bool)
-    copies[1:] = (corners[1:] == corners[0]).all(axis=2)
-    return copies
-
-
-def _sweep_shared(v_all: np.ndarray, ref: TriMesh, copies: np.ndarray):
-    """``_sweep_crossings`` and the face normals, sweeping no copy twice.
-
-    ``copies`` is ``_face_copies(ref, n_groups)``. Only group 0 and the
-    faces that differ from it are swept. A copy has its group-0 face's
-    normal, plane offset, frame and depths, so each crossing of a group-0
-    face is given to every copy of it, and one sort restores the (t, v, f)
-    order: the triples, depths and normals are bitwise the full sweep's.
-    With no copy (one group, say) every face is swept and the sort keeps the
-    order as it is.
-    """
-    gsize = copies.shape[1]
-    kept = np.flatnonzero(~copies)
-    sub = TriMesh(ref.vertices, ref.faces[kept])
-    normals = face_normals(sub, kept)
-    ti, vi, fi, d = _sweep_crossings(v_all, sub, normals)
-    fi = kept[fi]
-    on0 = np.flatnonzero(fi < gsize)
-    g, c = np.nonzero(copies[:, fi[on0]])
-    src = np.concatenate([np.arange(ti.size), on0[c]])
-    fi = np.concatenate([fi, fi[on0[c]] + g * gsize])
-    order = np.lexsort((fi, vi[src], ti[src]))
-    src = src[order]
-    # group 0 leads the kept faces, so a copy of face l reads row l
-    row = np.tile(np.arange(gsize), len(copies))
-    row[kept] = np.arange(kept.size)
-    return ti[src], vi[src], fi[order], d[src], normals[row]
-
-
 @dataclass
 class SimResult:
     pene: float
@@ -355,7 +312,8 @@ class SimResult:
 
 def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
                       want_grad: bool = False,
-                      group_counts: np.ndarray | None = None) -> SimResult:
+                      group_counts: np.ndarray | None = None,
+                      groups: np.ndarray | None = None) -> SimResult:
     """Sweep the moving part over its joint range against a static reference.
 
     Implements the stepped signed-depth accumulation: a vertex-face pair
@@ -363,35 +321,31 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     projecting inside the face. Fixed joints contribute (0, 0). Depth terms
     are clamped at 0 from below so exits never contribute negative depth.
 
-    ``group_counts`` splits the reference faces into ``len(group_counts)``
-    equal contiguous groups and reports each group's own loss (as if
-    simulated alone), which lets one call stand in for several
-    equal-topology references. Group ``g`` stands for ``group_counts[g]``
-    identical references: the totals and gradients weight its crossings by
-    that count, as if the reference held every copy. Without it the whole
-    reference is one group of count 1. A face whose corners repeat those of
-    the same face of group 0 bit for bit (a fixed part posed alike in every
-    group) is swept once: group 0's crossings are given to each copy, so the
-    result is bitwise that of sweeping every face.
+    ``groups`` is a ``(G, ref.n_faces)`` bool mask whose row ``g`` marks the
+    faces of one reference; every row marks as many faces, and rows may
+    share faces. The result reports each group's own loss (as if simulated
+    alone), which lets one call stand in for several equal-topology
+    references whose common faces are swept once. Group ``g`` stands for
+    ``group_counts[g]`` identical references (1 each by default): the totals
+    and gradients weight each crossing by the number of references that hold
+    its face, as if the reference held every copy. Without ``groups`` the
+    whole reference is one group.
 
-    Only vertex-face pairs that can cross are swept. A pair is kept when
-    the box around the vertex's swept positions, grown by its step length,
-    meets the face's bounding box, grown by the in-face tolerance and a
-    rounding margin. A vertex whose sign flips is at most one step from the
-    face's plane, so the cull drops no crossing (``_sweep_crossings`` gives
-    the bound). The jump from the rest pose to the first state has its own
-    candidate pairs, grown by that jump alone.
-
-    Memory is bounded by ``_SWEEP_BYTES``, not by N_s * nv * nf: the pair
-    test runs on blocks of vertex rows, the kept pairs are swept in
-    batches, and each batch sweeps blocks of steps whose float64 depths and
-    gather scratch fit half the budget. A batch holds at least one vertex's
-    pairs, so only a vertex with more candidate faces than the budget holds
-    sets a larger peak.
+    Only vertex-face pairs whose grown boxes meet are swept, a cull that
+    drops no crossing, and memory is bounded by ``_SWEEP_BYTES``, not by
+    N_s * nv * nf; ``_sweep_crossings`` gives the bound and the blocks.
     """
-    counts = (np.ones(1, dtype=np.intp) if group_counts is None
+    mask = (np.ones((1, ref.n_faces), dtype=bool) if groups is None
+            else np.asarray(groups, dtype=bool))
+    counts = (np.ones(len(mask), dtype=np.intp) if group_counts is None
               else np.asarray(group_counts))
     n_groups = len(counts)
+    if mask.shape != (n_groups, ref.n_faces):
+        raise ValueError(f"groups must be {(n_groups, ref.n_faces)}, "
+                         f"got {mask.shape}")
+    sizes = mask.sum(axis=1)
+    if (sizes != sizes[0]).any():
+        raise ValueError("groups mark different face counts")
     no_idx = np.zeros(0, dtype=np.intp)
     zeros = np.zeros((mov.n_vertices, 3)) if want_grad else None
     zero = SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
@@ -402,26 +356,23 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     if ref.n_faces == 0 or ref.n_vertices == 0:
         warnings.warn("empty reference mesh: penetration losses are 0")
         return zero
-    if ref.n_faces % n_groups:
-        raise ValueError("reference faces do not split into equal groups")
     # the int8 signs below read NaN as 0, so non-finite input must not reach them
     if not (np.isfinite(mov.vertices).all() and np.isfinite(ref.vertices).all()):
         raise ValueError("non-finite mover or reference vertices")
 
     rots, v_all = _swept_vertices(mov.vertices, joint, n_steps)
-    nv, nf = mov.n_vertices, ref.n_faces
-    gsize = nf // n_groups
+    nv = mov.n_vertices
     n_total = int(counts.sum())
     # the loss is normalized by the face count of the reference with every copy
-    scale = 1.0 / (n_steps * nv * (gsize * n_total))
+    scale = 1.0 / (n_steps * nv * (int(sizes[0]) * n_total))
 
-    ti, vi, fi, d, normals = _sweep_shared(v_all, ref, _face_copies(ref, n_groups))
+    normals = face_normals(ref)
+    ti, vi, fi, d = _sweep_crossings(v_all, ref, normals)
     if ti.size == 0:
         return zero
 
     s = np.sign(d)
-    gi = fi // gsize
-    w = counts[gi].astype(np.float64)
+    w = (counts @ mask)[fi].astype(np.float64)
     pene_terms = np.clip(d * s, 0.0, None)
     pene = float((pene_terms * w).sum() * scale)
     dv = v_all[ti + 1, vi] - v_all[ti, vi]          # step displacement per triple
@@ -431,8 +382,10 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     proj = float((proj_terms * w).sum() * scale)
 
     gscale = scale * n_total     # per-group loss uses its own face count
-    group_pene = np.bincount(gi, pene_terms, n_groups) * gscale
-    group_proj = np.bincount(gi, proj_terms, n_groups) * gscale
+    # each group sums its crossings in (t, v, f) order
+    gi, ci = np.nonzero(mask[:, fi])
+    group_pene = np.bincount(gi, pene_terms[ci], n_groups) * gscale
+    group_proj = np.bincount(gi, proj_terms[ci], n_groups) * gscale
 
     proj_grad_v = phy_grad_v = None
     if want_grad:
@@ -501,15 +454,6 @@ def _sample_ref_states(parts, mover_idx: int, rng) -> dict[int, float]:
     return states
 
 
-def _articulated_ref_mesh(parts_meshes, parts, mover_idx, states) -> TriMesh:
-    pieces = []
-    for j, (mesh, part) in enumerate(zip(parts_meshes, parts)):
-        if j == mover_idx:
-            continue
-        pieces.append(articulate(mesh, part.joint, states[j]))
-    return merge_meshes(pieces)
-
-
 def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
     """Shared Alg. 4 loop over (part, detection process) pairs.
 
@@ -525,24 +469,29 @@ def _run_losses(parts, part_meshes, cfg: SimConfig, want_grad: bool = False):
             det_pene = det_proj = np.zeros(cfg.n_det)
             g_proj = g_phy = np.zeros((mesh.n_vertices, 3))
         else:
-            # every detection process shares the mover trajectory and has an
-            # equal-topology reference, so one stacked simulation covers all;
-            # detections that draw the same states share one reference, kept
-            # in first-draw order and weighted by how many detections drew it,
-            # and faces posed alike in every reference (a fixed root) are
-            # swept once
-            refs, first, inverse = [], {}, []
+            # every detection process shares the mover trajectory, so one
+            # stacked simulation covers all. Detections that draw the same
+            # states form one group, kept in first-draw order and weighted by
+            # how many detections drew it. Each other part is posed once per
+            # state it is drawn at, and the posed copies go part by part,
+            # states in first-draw order, so each group's faces keep the
+            # order of its own merged reference
+            first, inverse = {}, []
             for det in range(cfg.n_det):
                 rng = np.random.default_rng([cfg.seed, i, det])
-                states = _sample_ref_states(parts, i, rng)
-                key = tuple(states.values())
-                if key not in first:
-                    first[key] = len(refs)
-                    refs.append(_articulated_ref_mesh(part_meshes, parts, i, states))
-                inverse.append(first[key])
-            res = single_simulation(mesh, merge_meshes(refs), part.joint,
+                key = tuple(_sample_ref_states(parts, i, rng).values())
+                inverse.append(first.setdefault(key, len(first)))
+            posed, held = [], []
+            others = (j for j in range(len(parts)) if j != i)
+            for j, drawn in zip(others, zip(*first)):
+                for state in dict.fromkeys(drawn):
+                    posed.append(articulate(part_meshes[j], parts[j].joint, state))
+                    held.append(np.array(drawn) == state)
+            groups = np.repeat(np.array(held).T, [p.n_faces for p in posed], axis=1)
+            res = single_simulation(mesh, merge_meshes(posed), part.joint,
                                     cfg.n_steps, want_grad=want_grad,
-                                    group_counts=np.bincount(inverse))
+                                    group_counts=np.bincount(inverse),
+                                    groups=groups)
             det_pene, det_proj = res.group_pene[inverse], res.group_proj[inverse]
             g_proj, g_phy = res.proj_grad_v, res.phy_grad_v
         penes.extend(det_pene)

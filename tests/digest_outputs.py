@@ -12,7 +12,11 @@ finetune ``--pretrained``, finetune ``--pretrained`` of a second dataset
 ``--z-zero``, simulate, simulate of the same object with the legs'
 ``ref_states`` removed (in ``OUT/data/glasses_01/object_free.json``, so each
 leg's detection processes pose the other leg at distinct states and share
-the frame), correct, and eval of both sample sets (the ``--z-zero`` set is
+the frame), simulate of a four-part object (in
+``OUT/data/glasses_01/object_four.json``: the free-leg object plus a second
+copy of the left rim that slides along y at three ``ref_states``, so each
+detection stack holds copies of two parts posed at varying states), correct,
+and eval of both sample sets (the ``--z-zero`` set is
 40 copies of one shape). It then prints
 ``<sha256>  <path>`` for every output under ``OUT`` except ``run.json``
 (which holds a timestamp). Run it on two checkouts and diff the listings to
@@ -154,6 +158,12 @@ def main(argv: list[str]) -> int:
     for part in manifest["parts"]:
         part.pop("ref_states", None)
     free.write_text(json.dumps(manifest, indent=2))
+    four = ref.with_name("object_four.json")
+    manifest["parts"].append({
+        "name": "lens", "convex_objs": ["rim_l.obj"],
+        "joint": {"kind": "prismatic", "axis": [0, 1, 0], "range": [0.0, 0.3]},
+        "ref_states": [0.0, 0.15, 0.3]})
+    four.write_text(json.dumps(manifest, indent=2))
     k3 = out / "data/k3.json"
     k3.write_text(json.dumps({"k": 3}))
     model = out / "finetune/model.json"
@@ -169,6 +179,7 @@ def main(argv: list[str]) -> int:
         ["sample", model, ref, out / "sample_zero", "--z-zero"],
         ["simulate", ref, out / "simulate"],
         ["simulate", free, out / "simulate_free"],
+        ["simulate", four, out / "simulate_four"],
         ["correct", model, ref, out / "correct"],
         ["eval", out / "sample", dataset, out / "eval"],
         ["eval", out / "sample_zero", dataset, out / "eval_zero"],

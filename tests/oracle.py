@@ -19,7 +19,7 @@ from artigen.basis import (
     kd_trees,
 )
 from artigen.cage import Cage
-from artigen.mesh import Joint, TriMesh, merge_meshes
+from artigen.mesh import Joint, TriMesh, articulate, merge_meshes
 from artigen.metrics import pairwise_chamfer
 from artigen.physics import (
     _BARY_TOL,
@@ -28,7 +28,6 @@ from artigen.physics import (
     DeformablePart,
     ProjConfig,
     SimConfig,
-    _articulated_ref_mesh,
     _face_frames,
     _in_faces_sparse,
     _sample_ref_states,
@@ -144,12 +143,23 @@ def frozen_proj_loss(v_rest: np.ndarray, ref: TriMesh, joint: Joint,
     return float(np.einsum("tva,tva->", dv, per_vertex) / (n_steps * nv * nf))
 
 
+def articulated_ref_mesh(parts_meshes, parts, mover_idx, states) -> TriMesh:
+    """Every part but the mover, each posed at its drawn state, merged."""
+    pieces = []
+    for j, (mesh, part) in enumerate(zip(parts_meshes, parts)):
+        if j == mover_idx:
+            continue
+        pieces.append(articulate(mesh, part.joint, states[j]))
+    return merge_meshes(pieces)
+
+
 def run_losses_every_detection(parts, part_meshes, cfg: SimConfig,
                                want_grad: bool = False):
     """``physics._run_losses`` without deduplication.
 
     Builds one reference per detection process, identical or not, and sweeps
-    the stack of all ``n_det`` of them, each counted once.
+    the stack of all ``n_det`` of them, each counted once and holding only
+    its own faces.
     """
     n = len(parts) * cfg.n_det
     breakdown, penes, projs = [], [], []
@@ -163,10 +173,10 @@ def run_losses_every_detection(parts, part_meshes, cfg: SimConfig,
             for det in range(cfg.n_det):
                 rng = np.random.default_rng([cfg.seed, i, det])
                 states = _sample_ref_states(parts, i, rng)
-                refs.append(_articulated_ref_mesh(part_meshes, parts, i, states))
+                refs.append(articulated_ref_mesh(part_meshes, parts, i, states))
+            groups = np.repeat(np.eye(cfg.n_det, dtype=bool), refs[0].n_faces, axis=1)
             res = single_simulation(mesh, merge_meshes(refs), part.joint,
-                                    cfg.n_steps, want_grad=want_grad,
-                                    group_counts=np.ones(cfg.n_det, dtype=np.intp))
+                                    cfg.n_steps, want_grad=want_grad, groups=groups)
             det_pene, det_proj = res.group_pene, res.group_proj
             g_proj, g_phy = res.proj_grad_v, res.phy_grad_v
         penes.extend(det_pene)

@@ -30,6 +30,7 @@ from artigen.physics import (
 )
 from fixtures import grid_box, hinge_wall_rod, hull_mesh, simple_box, write_eyeglasses
 from oracle import (
+    articulated_ref_mesh,
     correct_shape_every_step,
     dense_sweep_crossings,
     frozen_proj_loss,
@@ -395,6 +396,21 @@ def _pinned_post_parts():
             Part("post", (post,), post_joint, ref_states=(-0.6, 0.0, 0.7)))
 
 
+def _two_post_parts():
+    # two posts that overlap where the rod's far end passes, each posed at
+    # one of three tilts, about x and about y: in one step a rod vertex
+    # crosses faces of both
+    wall, rod, joint = hinge_wall_rod()
+    posts = [Part(name, (simple_box((0.2, 0.2, 0.8), center),),
+                  Joint("revolute", axis=np.array(axis), pivot=np.array(center),
+                        range=(-1.0, 1.0)), ref_states=states)
+             for name, center, axis, states in (
+                 ("post_x", [0.92, 0.39, 0.0], [1.0, 0.0, 0.0], (-0.6, 0.0, 0.7)),
+                 ("post_y", [0.94, 0.41, 0.0], [0.0, 1.0, 0.0], (-0.5, 0.2, 0.6)))]
+    return (Part("wall", (wall,), Joint("fixed")), Part("rod", (rod,), joint),
+            *posts)
+
+
 def _state_counts(parts, mover, cfg):
     from artigen.physics import _sample_ref_states
 
@@ -403,9 +419,9 @@ def _state_counts(parts, mover, cfg):
     return sorted(keys.count(k) for k in set(keys))
 
 
-@pytest.mark.parametrize("case", ["one_state", "mixed", "all_distinct"])
+@pytest.mark.parametrize("case", ["one_state", "mixed", "all_distinct", "two_posts"])
 def test_dedup_matches_every_detection_oracle(case, tmp_path):
-    from artigen.physics import _run_losses
+    from artigen.physics import _run_losses, _sample_ref_states
 
     cfg = SimConfig(n_steps=40, n_det=10, seed=2)
     if case == "mixed":
@@ -413,23 +429,65 @@ def test_dedup_matches_every_detection_oracle(case, tmp_path):
         counts = _state_counts(parts, 1, cfg)
         assert len(counts) > 1 and counts[-1] > 1        # repeated and distinct
         assert _state_counts(parts, 2, cfg) == [1] * cfg.n_det
+    elif case == "two_posts":
+        parts = _two_post_parts()
+        counts = _state_counts(parts, 1, cfg)
+        assert len(counts) > 1 and counts[-1] > 1
+        # a rod vertex crosses faces of both posts in one step
+        meshes = [p.merged() for p in parts]
+        states = _sample_ref_states(parts, 1, np.random.default_rng([cfg.seed, 1, 0]))
+        own = articulated_ref_mesh(meshes, parts, 1, states)
+        ti, vi, fi = single_simulation(meshes[1], own, parts[1].joint,
+                                       cfg.n_steps).crossings
+        # 0 for the wall, 1 and 2 for the posts
+        post = np.searchsorted(np.cumsum([meshes[j].n_faces for j in (0, 2, 3)]),
+                               fi, side="right")
+        tv = ti * meshes[1].n_vertices + vi
+        assert np.intersect1d(tv[post == 1], tv[post == 2]).size > 0
     else:
         parts = _eyeglasses_parts(tmp_path, ref_states=case == "one_state")
         want = [cfg.n_det] if case == "one_state" else [1] * cfg.n_det
         assert _state_counts(parts, 1, cfg) == want
     meshes = [p.merged() for p in parts]
-    got, got_proj, got_phy = _run_losses(parts, meshes, cfg, want_grad=True)
+    calls = []
+    sim = physics.single_simulation
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["groups"], sim(*args, **kwargs)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(physics, "single_simulation", spy)
+        got, got_proj, got_phy = _run_losses(parts, meshes, cfg, want_grad=True)
     ref, ref_proj, ref_phy = run_losses_every_detection(parts, meshes, cfg,
                                                         want_grad=True)
+    # each group's crossings, its faces numbered within the group, are those
+    # of its first detection's own reference
+    movers = [i for i, p in enumerate(parts) if not p.joint.is_fixed]
+    assert len(calls) == len(movers)
+    for i, (groups, res) in zip(movers, calls):
+        firsts = {}
+        for det in range(cfg.n_det):
+            states = _sample_ref_states(parts, i, np.random.default_rng(
+                [cfg.seed, i, det]))
+            firsts.setdefault(tuple(states.values()), states)
+        assert len(firsts) == len(groups)
+        for g, states in enumerate(firsts.values()):
+            own = articulated_ref_mesh(meshes, parts, i, states)
+            want = sim(meshes[i], own, parts[i].joint, cfg.n_steps).crossings
+            assert _bytes(_group_view(res, groups, g)[2:]) == _bytes(want)
 
     def close(a, b):
         a, b = np.asarray(a), np.asarray(b)
         return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
+    # each detection's losses are summed in the same order as the oracle's
     assert ref.l_phy > 0 and ref.l_proj != 0
-    assert close(got.l_phy, ref.l_phy) and close(got.l_proj, ref.l_proj)
+    assert _bytes([got.l_phy, got.l_proj]) == _bytes([ref.l_phy, ref.l_proj])
     assert [r[:2] for r in got.breakdown] == [r[:2] for r in ref.breakdown]
-    assert close([r[2:] for r in got.breakdown], [r[2:] for r in ref.breakdown])
+    assert (_bytes([r[2:] for r in got.breakdown])
+            == _bytes([r[2:] for r in ref.breakdown]))
+    # shared crossings are weighted once by their summed count
     for g, r in zip(got_proj + got_phy, ref_proj + ref_phy):
         assert g.shape == r.shape
         assert (g == 0).all() if not r.any() else close(g, r)
@@ -454,84 +512,126 @@ def test_non_finite_vertices_raise():
 
 
 def _budget_cases():
+    """Movers, the posed meshes their references hold, and the groups.
+
+    Each case is ``(mov, posed, held, joint, n_steps, counts)``; group ``g``
+    holds the meshes ``posed[k]`` for ``k`` in ``held[g]``, in that order.
+    """
     wall, rod, hinge = hinge_wall_rod()
-    walls = merge_meshes([simple_box((0.1, 2.4, 1.2), (x, 0.0, 0.0))
-                          for x in (0.3, 0.6, 0.85)])
+    slabs = [simple_box((0.1, 2.4, 1.2), (x, 0.0, 0.0)) for x in (0.3, 0.6, 0.85)]
     slide = Joint("prismatic", axis=np.array([1.0, 0.0, 0.0]),
                   pivot=np.zeros(3), range=(0.0, 0.6))
-    # stacked references whose groups share a fixed wall: a post the rod
-    # hits at three angles, and a second slab of which the last group
-    # repeats the first whole
-    posts = merge_meshes([merge_meshes([wall, simple_box(
-        (0.06, 0.06, 0.8), (0.3 * np.cos(a), 0.3 * np.sin(a), 0.0))])
-        for a in (0.3, 0.7, 1.1)])
-    slabs = merge_meshes([merge_meshes([simple_box((0.1, 2.4, 1.2), (0.3, 0.0, 0.0)),
-                                        simple_box((0.1, 2.4, 1.2), (x, 0.0, 0.0))])
-                          for x in (0.6, 0.85, 0.6)])
+    posts = [simple_box((0.06, 0.06, 0.8), (0.3 * np.cos(a), 0.3 * np.sin(a), 0.0))
+             for a in (0.3, 0.7, 1.1)]
+    mover = grid_box(3, (0.4, 0.3, 0.3))
     return {
-        "revolute": (rod, wall, hinge, 60, None),
-        "revolute_groups": (rod, walls, hinge, 45, np.array([2, 1, 3])),
-        "prismatic_groups": (grid_box(3, (0.4, 0.3, 0.3)), walls, slide, 37,
+        "revolute": (rod, [wall], [[0]], hinge, 60, None),
+        "revolute_groups": (rod, slabs, [[0], [1], [2]], hinge, 45,
+                            np.array([2, 1, 3])),
+        "prismatic_groups": (mover, slabs, [[0], [1], [2]], slide, 37,
                              np.array([1, 4, 1])),
-        "revolute_shared": (rod, posts, hinge, 45, np.array([2, 1, 3])),
-        "prismatic_shared": (grid_box(3, (0.4, 0.3, 0.3)), slabs, slide, 37,
+        # a wall every group holds and a post the rod hits at three angles;
+        # a slab every group holds and a second slab at two offsets, of
+        # which the last group repeats the first
+        "revolute_shared": (rod, [wall, *posts], [[0, 1], [0, 2], [0, 3]],
+                            hinge, 45, np.array([2, 1, 3])),
+        "prismatic_shared": (mover, slabs, [[0, 1], [0, 2], [0, 1]], slide, 37,
                              np.array([1, 4, 1])),
     }
 
 
-def _no_copies(ref, n_groups):
-    return np.zeros((n_groups, ref.n_faces // n_groups), dtype=bool)
+def _stack(posed, held, whole=False):
+    """The reference and group mask of a case of ``_budget_cases``.
+
+    The reference holds each posed mesh once, or with ``whole`` each group's
+    own merged reference under a block-diagonal mask.
+    """
+    if whole:
+        refs = [merge_meshes([posed[k] for k in ks]) for ks in held]
+        return merge_meshes(refs), np.repeat(np.eye(len(held), dtype=bool),
+                                             refs[0].n_faces, axis=1)
+    marks = np.zeros((len(held), len(posed)), dtype=bool)
+    for g, ks in enumerate(held):
+        marks[g, ks] = True
+    return merge_meshes(posed), np.repeat(marks, [m.n_faces for m in posed], axis=1)
+
+
+def _group_view(res, groups, g):
+    """Group ``g``'s losses and crossings, its faces numbered within the group."""
+    ti, vi, fi = res.crossings
+    own = groups[g, fi]
+    local = np.cumsum(groups[g]) - 1
+    return [res.group_pene[g], res.group_proj[g], ti[own], vi[own], local[fi[own]]]
+
+
+def _bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
 
 
 def _result_bytes(res):
     fields = [np.float64(res.pene), np.float64(res.proj), *res.crossings,
               res.group_pene, res.group_proj]
-    fields += [g for g in (res.proj_grad_v, res.phy_grad_v) if g is not None]
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, fields)]
+    return _bytes(fields + [g for g in (res.proj_grad_v, res.phy_grad_v)
+                            if g is not None])
 
 
 @pytest.mark.parametrize("want_grad", [False, True])
 @pytest.mark.parametrize("case", list(_budget_cases()))
 def test_sweep_is_bit_identical_across_budgets(case, want_grad, monkeypatch):
-    mov, ref, joint, n_steps, counts = _budget_cases()[case]
-    step = mov.n_vertices * ref.n_faces * 8
-    got = []
+    mov, posed, held, joint, n_steps, counts = _budget_cases()[case]
+    layouts = [_stack(posed, held), _stack(posed, held, whole=True)]
+    if case.endswith("_shared"):
+        assert layouts[0][0].n_faces < layouts[1][0].n_faces
+    runs = [[], []]
     # one step per block, a few steps per block, the whole sweep in one block;
-    # each with the faces that repeat group 0 swept once and swept every time
-    for budget in (step, 7 * step, (n_steps + 1) * step):
-        monkeypatch.setattr(physics, "_SWEEP_BYTES", budget)
-        for share in (True, False):
-            with pytest.MonkeyPatch.context() as mp:
-                if not share:
-                    mp.setattr(physics, "_face_copies", _no_copies)
-                res = single_simulation(mov, ref, joint, n_steps,
-                                        want_grad=want_grad, group_counts=counts)
+    # each with the shared faces held once and with every group held whole
+    for n_block in (1, 7, n_steps + 1):
+        for (ref, groups), got in zip(layouts, runs):
+            monkeypatch.setattr(physics, "_SWEEP_BYTES",
+                                n_block * mov.n_vertices * ref.n_faces * 8)
+            res = single_simulation(mov, ref, joint, n_steps, want_grad=want_grad,
+                                    group_counts=counts, groups=groups)
             assert (res.proj_grad_v is not None) == want_grad
             assert res.crossings[0].size > 0
-            got.append(_result_bytes(res))
-    assert all(g == got[0] for g in got[1:])
+            got.append(res)
+    for got in runs:
+        assert all(_result_bytes(r) == _result_bytes(got[0]) for r in got[1:])
+    (shared, whole), groups = (got[0] for got in runs), [g for _, g in layouts]
+    for g in range(len(held)):
+        assert (_bytes(_group_view(shared, groups[0], g))
+                == _bytes(_group_view(whole, groups[1], g)))
+    # a shared crossing is weighted once by its summed count, so the totals
+    # agree to rounding
+    assert shared.pene == pytest.approx(whole.pene, rel=1e-12)
+    assert shared.proj == pytest.approx(whole.proj, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["revolute_shared", "prismatic_shared"])
 def test_shared_faces_are_swept_once(case, monkeypatch):
-    mov, ref, joint, n_steps, counts = _budget_cases()[case]
-    copies = physics._face_copies(ref, len(counts))
+    mov, posed, held, joint, n_steps, counts = _budget_cases()[case]
+    ref, groups = _stack(posed, held)
     swept = []
     sweep = physics._sweep_crossings
 
     def spy(v_all, swept_ref, normals):
-        swept.append(swept_ref.n_faces)
+        swept.append(swept_ref.vertices[swept_ref.faces])
         return sweep(v_all, swept_ref, normals)
 
     monkeypatch.setattr(physics, "_sweep_crossings", spy)
-    res = single_simulation(mov, ref, joint, n_steps, group_counts=counts)
-    assert swept == [int((~copies).sum())] and swept[0] < ref.n_faces
+    res = single_simulation(mov, ref, joint, n_steps, group_counts=counts,
+                            groups=groups)
+    # one sweep, of each distinct posed face once
+    assert len(swept) == 1
+    assert np.array_equal(swept[0], np.concatenate([m.vertices[m.faces]
+                                                    for m in posed]))
     _, v_all = physics._swept_vertices(mov.vertices, joint, n_steps)
-    want = dense_sweep_crossings(v_all, ref, face_normals(ref))
-    for g, w in zip(res.crossings, want[:3]):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    # crossings of the faces that were not swept themselves
-    assert copies.ravel()[res.crossings[2]].any()
+    for g, ks in enumerate(held):
+        own = merge_meshes([posed[k] for k in ks])
+        want = dense_sweep_crossings(v_all, own, face_normals(own))
+        for got, w in zip(_group_view(res, groups, g)[2:], want[:3]):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+    # crossings of faces that several groups hold
+    assert (groups[:, res.crossings[2]].sum(axis=0) > 1).any()
 
 
 def _with_face(mesh, corners):
@@ -543,49 +643,37 @@ def _with_face(mesh, corners):
 
 @pytest.mark.parametrize("bad_group", [0, 1])
 def test_degenerate_face_keeps_its_index_when_shared(bad_group):
-    # a zero-area face in the wall every group shares, or in group 1's post only
+    # a zero-area face in the wall every group holds, or in group 1's post only
     wall, rod, hinge = hinge_wall_rod()
     line = [[0.6, 0.0, 0.0], [0.6, 0.1, 0.0], [0.6, 0.2, 0.0]]
     tri = [[0.6, 0.0, 0.0], [0.6, 0.1, 0.0], [0.6, 0.0, 0.1]]
-    groups = []
+    posed = [_with_face(wall, line if bad_group == 0 else tri)]
     for g, a in enumerate((0.3, 0.7, 1.1)):
         post = simple_box((0.06, 0.06, 0.8), (0.3 * np.cos(a), 0.3 * np.sin(a), 0.0))
-        groups.append(merge_meshes([
-            _with_face(wall, line if bad_group == 0 else tri),
-            _with_face(post, line if bad_group == g == 1 else tri)]))
-    ref = merge_meshes(groups)
-    # the first zero-area face of the whole stack: the wall's 13th face of
-    # group 0, or the post's 13th face of group 1
-    want = 12 if bad_group == 0 else groups[0].n_faces + 13 + 12
-    if bad_group == 0:
-        assert physics._face_copies(ref, 3)[1:, 12].all()
-    for share in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            if not share:
-                mp.setattr(physics, "_face_copies", _no_copies)
-            with pytest.raises(ValueError, match=f"^degenerate face {want}: "):
-                single_simulation(rod, ref, hinge, 10,
-                                  group_counts=np.array([1, 1, 1]))
+        posed.append(_with_face(post, line if bad_group == g == 1 else tri))
+    held = [[0, 1], [0, 2], [0, 3]]
+    # the first zero-area face of the reference passed: the wall's 13th face,
+    # or group 1's post's 13th face, which follows the wall and group 0's post
+    # once the wall is shared, and group 0's reference and the wall otherwise
+    for whole, before in ((False, 1), (True, 2)):
+        ref, groups = _stack(posed, held, whole)
+        want = 12 if bad_group == 0 else before * posed[0].n_faces + 13 + 12
+        with pytest.raises(ValueError, match=f"^degenerate face {want}: "):
+            single_simulation(rod, ref, hinge, 10, groups=groups)
 
 
-def test_face_copies_compare_bits_not_values(monkeypatch):
-    # a wall with corners at y = 0 and z = 0, and its copy with those at -0.0
-    _, rod, hinge = hinge_wall_rod()
-    wall = grid_box(4, (0.1, 2.4, 1.2), (0.6, 0.0, 0.0))
-    signed = TriMesh(np.where(wall.vertices == 0.0, -0.0, wall.vertices), wall.faces)
-    assert np.array_equal(signed.vertices, wall.vertices)
-    ref = merge_meshes([wall, signed, wall])
-    copies = physics._face_copies(ref, 3)
-    touches_zero = (wall.vertices[wall.faces] == 0.0).any(axis=(1, 2))
-    assert touches_zero.any() and not touches_zero.all()
-    assert np.array_equal(copies[1], ~touches_zero) and copies[2].all()
-    got = single_simulation(rod, ref, hinge, 30, want_grad=True,
-                            group_counts=np.array([1, 2, 1]))
-    monkeypatch.setattr(physics, "_face_copies", _no_copies)
-    want = single_simulation(rod, ref, hinge, 30, want_grad=True,
-                             group_counts=np.array([1, 2, 1]))
-    assert got.crossings[0].size > 0
-    assert _result_bytes(got) == _result_bytes(want)
+def test_groups_mask_is_validated():
+    wall, rod, hinge = hinge_wall_rod()
+    ref, groups = _stack([wall, wall, wall], [[0, 1], [0, 2]])
+    assert single_simulation(rod, ref, hinge, 10, groups=groups).pene > 0
+    for bad, counts in ((groups[:, 1:], None), (groups, [1, 1, 1]), (None, [1, 1])):
+        with pytest.raises(ValueError, match="^groups must be "):
+            single_simulation(rod, ref, hinge, 10, group_counts=counts,
+                              groups=bad)
+    uneven = groups.copy()
+    uneven[1, :wall.n_faces] = False
+    with pytest.raises(ValueError, match="^groups mark different face counts"):
+        single_simulation(rod, ref, hinge, 10, groups=uneven)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
