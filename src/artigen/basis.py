@@ -16,18 +16,15 @@ _ICP_TOL = 1e-8
 # first step size; each step grows it by 1.2 when taken, halves it otherwise
 _REG_STEPS = 25
 _REG_LR = 0.05
+# weights of the orthogonality and l1 sparsity penalties in that objective
+_LAMBDA_ORTH = _LAMBDA_SP = 1e-4
 
 
 @dataclass
 class FitConfig:
-    lambda_orth: float = 1e-4
-    lambda_sp: float = 1e-4
     chamfer_samples: int = 4096
-    outer_iters: int = 10
 
     def __post_init__(self):
-        if min(self.lambda_orth, self.lambda_sp) < 0:
-            raise ValueError("loss weights must be non-negative")
         if self.chamfer_samples < 1:
             raise ValueError("chamfer_samples must be >= 1")
 
@@ -228,8 +225,7 @@ def _penalties(b: np.ndarray, lambda_orth: float, lambda_sp: float):
     return float(l_orth), float(np.abs(flat).sum() / flat.size), grad.reshape(b.shape)
 
 
-def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs,
-                             cfg: FitConfig):
+def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs):
     """Regularized matching objective and its analytic gradient w.r.t. bases.
 
     The matching term is the mean fixed-correspondence point-matching loss
@@ -251,8 +247,8 @@ def basis_objective_and_grad(b: np.ndarray, ops, targets, coeffs, corrs,
         g_off = 2.0 * (w.T @ r_f) / n_src
         g_off += 2.0 * (w[back].T @ r_b) / n_tgt
         grad += np.einsum("na,k->kna", g_off, z) / n_pairs
-    l_orth, l_sp, reg_grad = _penalties(b, cfg.lambda_orth, cfg.lambda_sp)
-    loss += cfg.lambda_orth * l_orth + cfg.lambda_sp * l_sp
+    l_orth, l_sp, reg_grad = _penalties(b, _LAMBDA_ORTH, _LAMBDA_SP)
+    loss += _LAMBDA_ORTH * l_orth + _LAMBDA_SP * l_sp
     return loss, grad + reg_grad
 
 
@@ -292,19 +288,20 @@ class BasisFit:
 
 
 def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
-              cfg: FitConfig | None = None,
+              outer_iters: int, cfg: FitConfig | None = None,
               init: BasisSet | None = None,
               extra_basis_grad: np.ndarray | None = None,
               seed: int = 0) -> BasisFit:
     """Alternating fit of K deformation bases and per-target coefficients.
 
-    All pairs must share the source convex (and thus the cage). Each outer
-    iteration fits coefficients by ICP-style Chamfer minimization, solves the
-    matched objective for the bases in closed form, then takes gradient steps
-    on the regularized objective. ``extra_basis_grad``, a (K, N_t, 3) array
-    when given, is added to the objective's gradient at every step (the
-    frozen physics penalty at fine-tuning time). ``seed`` drives the random
-    initial bases and the surface samples.
+    All pairs must share the source convex (and thus the cage). Each of up
+    to ``outer_iters`` outer iterations fits coefficients by ICP-style
+    Chamfer minimization, solves the matched objective for the bases in
+    closed form, then takes gradient steps on the regularized objective.
+    ``extra_basis_grad``, a (K, N_t, 3) array when given, is added to the
+    objective's gradient at every step (the frozen physics penalty at
+    fine-tuning time). ``seed`` drives the random initial bases and the
+    surface samples.
     """
     cfg = cfg or FitConfig()
     if not pairs:
@@ -333,7 +330,7 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
     coeffs = [np.zeros(k) for _ in pairs]
     history: list[float] = []
     converged = False
-    for _ in range(cfg.outer_iters):
+    for _ in range(outer_iters):
         fits = [fit_coefficient(BasisSet(b), op, tgt, z0=z)
                 for op, tgt, z in zip(ops, target_pts, coeffs)]
         coeffs = [f.z for f in fits]
@@ -345,9 +342,9 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
             break
         b_new = _solve_bases_matched(ops, target_pts, coeffs, corrs, k, n_t)
         # keep the closed-form step only if the regularized objective agrees
-        obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs, cfg)
+        obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs)
         obj_new, grad_new = basis_objective_and_grad(b_new, ops, target_pts, coeffs,
-                                                     corrs, cfg)
+                                                     corrs)
         if obj_new <= obj:
             b, obj, grad = b_new, obj_new, grad_new
         # gradient descent on the full regularized objective
@@ -356,7 +353,7 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         for _ in range(_REG_STEPS):
             b_try = b - lr * grad
             obj_try, grad_try = basis_objective_and_grad(
-                b_try, ops, target_pts, coeffs, corrs, cfg)
+                b_try, ops, target_pts, coeffs, corrs)
             if obj_try < obj:
                 b, obj, grad = b_try, obj_try, grad_try + extra
                 lr *= 1.2

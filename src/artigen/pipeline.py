@@ -310,6 +310,8 @@ def stack_coeffs(model: Model, target_index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Pretraining
 
+PRETRAIN_ROUNDS = 10   # outer rounds of each convex's basis alternation
+
 
 def _convex_seed(cfg: PipelineConfig, pi: int, ci: int) -> int:
     """Fitting seed of convex ``ci`` of part ``pi``, shared by both fitting stages."""
@@ -330,7 +332,8 @@ def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
     for pi, ci, convex in _flat_convexes(source):
         cage = build_cage(convex)
         fit = fit_bases([(convex, t.parts[pi].convexes[ci]) for t in targets],
-                        cage, cfg.k, cfg=cfg.fit, seed=_convex_seed(cfg, pi, ci))
+                        cage, cfg.k, PRETRAIN_ROUNDS, cfg=cfg.fit,
+                        seed=_convex_seed(cfg, pi, ci))
         convexes.append(ConvexModel(
             part_index=pi, convex_index=ci, cage=cage, bases=fit.bases,
             coeffs=np.stack(fit.coeffs), loss_history=fit.loss_history,
@@ -411,7 +414,6 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
     model = Model(k=cfg.k, convexes=convexes, source_manifest=ds.paths[0],
                   seed=cfg.seed)
 
-    one_round = replace(cfg.fit, outer_iters=1)
     # convex m reads block m of the stacked per-convex coefficients
     blocks = np.split(np.eye(len(flat) * cfg.k), len(flat))
     lc_history: list[float] = []
@@ -431,7 +433,7 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
         round_losses = []
         for (pi, ci, convex), cm, g in zip(flat, model.convexes, phy_grads):
             pairs = [(convex, t.parts[pi].convexes[ci]) for t in targets]
-            fit = fit_bases(pairs, cm.cage, cfg.k, cfg=one_round,
+            fit = fit_bases(pairs, cm.cage, cfg.k, 1, cfg=cfg.fit,
                             init=cm.bases, extra_basis_grad=g,
                             seed=_convex_seed(cfg, pi, ci))
             cm.bases = fit.bases
@@ -471,7 +473,7 @@ def cmd_sample(model_path, reference_path, out_dir, cfg: PipelineConfig,
 
     dobj = build_deformable(model, reference, model.sync.s_matrices)
     # every --z-zero entry is the same zero vector: correct it once, reuse it
-    zs = np.zeros((1, model.k)) if z_zero else sample_gmm(model.gmm, seed=seed, n=n)
+    zs = np.zeros((1, dobj.k)) if z_zero else sample_gmm(model.gmm, seed=seed, n=n)
 
     samples = []
     for i in range(n):
@@ -528,9 +530,9 @@ def cmd_correct(model_path, reference_path, cfg: PipelineConfig,
         raise PipelineError("model is not fine-tuned (missing sync state)")
     dobj = build_deformable(model, reference, model.sync.s_matrices)
     if z_path is not None:
-        z = _load_coefficient(z_path, model.k)
+        z = _load_coefficient(z_path, dobj.k)
     else:
-        z = model.gmm.mean() if model.gmm else np.zeros(model.k)
+        z = model.gmm.mean() if model.gmm else np.zeros(dobj.k)
     z_new, before, after = correct_shape(dobj, z, TEST_PROJ, cfg.sim)
     if out_path:
         save_obj(merge_meshes([p.mesh_at(z_new) for p in dobj.parts]), out_path)

@@ -260,11 +260,13 @@ def mvc_per_point(p, cage_mesh: TriMesh, tol: float = 1e-12) -> np.ndarray:
         return w
 
     sin_t = np.sin(theta)
-    c = (2.0 * np.sin(h)[:, None] * np.sin(h[:, None] - theta)) / (
-        sin_t[:, [1, 2, 0]] * sin_t[:, [2, 0, 1]]
-    ) - 1.0
     det = np.linalg.det(tu)
-    s = np.sign(det)[:, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    # faces with a zero sine give inf or nan here; the mask below drops them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (2.0 * np.sin(h)[:, None] * np.sin(h[:, None] - theta)) / (
+            sin_t[:, [1, 2, 0]] * sin_t[:, [2, 0, 1]]
+        ) - 1.0
+        s = np.sign(det)[:, None] * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
     # faces whose plane contains p but p projects outside them contribute 0
     valid = (np.abs(s) > tol).all(axis=1)
 

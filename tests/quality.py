@@ -1,0 +1,180 @@
+"""Score the real pipeline on the fixture eyeglasses, or compare two scorings.
+
+Usage: python tests/quality.py SRC_ROOT OUT
+       python tests/quality.py --compare OUT_A OUT_B
+
+Imports ``artigen`` from ``SRC_ROOT/src`` (a checkout of this repository)
+and, with one BLAS thread, runs one probe per fixture dataset seed 0-3:
+
+- writes the 5-shot fixture eyeglasses dataset of that seed to
+  ``OUT/seed<s>/data`` and fine-tunes it with ``cmd_finetune`` under the
+  desk profile, seed 0;
+- draws 40 corrected samples around ``glasses_01`` with ``cmd_sample``
+  (seed 0), counting the passes of the correction loop through
+  ``physics.grad_proj_wrt_z``;
+- scores the draws against the 5 references with ``cmd_eval`` (512 points
+  per cloud, ``sample_surface`` seeded by index within each set).
+
+Each seed's row holds: the draws wider in x than 1.5 times the widest
+reference ("over-wide") and the widest draw; MMD, COV, 1-NNA and JSD; the
+mean APD before and after correction; correction passes per draw; per
+convex, the final mean Chamfer of its fit and its largest coefficient
+magnitude; the GMM's largest variance; and the fit and sample wall times.
+The rows go to ``OUT/quality.json`` and a table of them to standard output.
+
+``--compare`` takes the ``OUT`` trees of two such runs, prints every value
+that differs between their ``quality.json`` files, and exits 1 when any
+value other than a wall time (a key ending in ``_s``) differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+# set before numpy is imported: the fitted model depends on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SEEDS = (0, 1, 2, 3)
+N_DRAWS = 40
+OVER_WIDE = 1.5      # a draw is over-wide beyond this multiple of the widest reference
+
+
+def _probe(seed: int, out: Path) -> dict:
+    import numpy as np
+
+    import artigen.physics as physics
+    from artigen.mesh import load_obj
+    from artigen.pipeline import (PipelineConfig, cmd_eval, cmd_finetune,
+                                  cmd_sample, desk_profile, load_dataset)
+    from fixtures import write_eyeglasses_dataset
+
+    cfg = desk_profile(PipelineConfig(seed=0))
+    dataset = write_eyeglasses_dataset(out / "data", n=5, seed=seed)
+    t0 = time.perf_counter()
+    model = cmd_finetune(dataset, out / "model.json", cfg)
+    fit_s = time.perf_counter() - t0
+
+    passes = []
+    counted = physics.grad_proj_wrt_z
+
+    def grad_proj_wrt_z(*args, **kwargs):
+        passes.append(1)
+        return counted(*args, **kwargs)
+
+    physics.grad_proj_wrt_z = grad_proj_wrt_z
+    try:
+        t0 = time.perf_counter()
+        report = cmd_sample(out / "model.json",
+                            out / "data/glasses_01/object.json", out / "samples",
+                            cfg, n=N_DRAWS, seed=0)
+        sample_s = time.perf_counter() - t0
+    finally:
+        physics.grad_proj_wrt_z = counted
+    scores = cmd_eval(out / "samples", dataset, cfg)["metrics"]
+
+    def x_width(vertices) -> float:
+        return float(np.ptp(vertices[:, 0]))
+
+    ref_widest = max(x_width(np.concatenate([p.merged().vertices for p in o.parts]))
+                     for o in load_dataset(dataset).objects)
+    widths = [x_width(load_obj(out / "samples" / s["file"]).vertices)
+              for s in report["samples"] if s["file"] is not None]
+    return {
+        "draws": N_DRAWS,
+        "failed_draws": N_DRAWS - len(widths),
+        "over_wide": sum(w > OVER_WIDE * ref_widest for w in widths),
+        "widest": max(widths),
+        "ref_widest": ref_widest,
+        "mmd": scores["mmd"], "cov": scores["cov"],
+        "one_nna": scores["one_nna"], "jsd": scores["jsd"],
+        "apd_before": report["mean_apd_before"],
+        "apd_after": report["mean_apd_after"],
+        "passes_per_draw": len(passes) / N_DRAWS,
+        "convexes": [f"({c.part_index}, {c.convex_index})" for c in model.convexes],
+        "final_chamfer": [c.loss_history[-1] for c in model.convexes],
+        "max_abs_coeff": [float(np.abs(c.coeffs).max()) for c in model.convexes],
+        "gmm_max_variance": float(model.gmm.variances.max()),
+        "fit_s": fit_s,
+        "sample_s": sample_s,
+    }
+
+
+def _table(rows: dict) -> str:
+    """One line per seed, in the ROADMAP probe table's units."""
+    lines = ["seed  over-wide (widest)  MMDx1e3     COV   1-NNA    JSD  "
+             "APD before -> after   passes  final Chamfer x1e3         "
+             "max |coeff|               GMM max var   fit s  sample s"]
+    for seed, r in rows.items():
+        chamfer = " / ".join(f"{c * 1e3:.3g}" for c in r["final_chamfer"])
+        coeff = " / ".join(f"{c:.2g}" for c in r["max_abs_coeff"])
+        lines.append(
+            f"{seed:>4}  {r['over_wide']:>2}/{r['draws']} ({r['widest']:.2f})"
+            f"{r['mmd'] * 1e3:>13.2f}  {r['cov']:>5.0%}  {r['one_nna']:>6.1%}"
+            f"  {r['jsd']:.3f}  {r['apd_before']:.3e} -> {r['apd_after']:.3e}"
+            f"  {r['passes_per_draw']:>5.1f}  {chamfer:<25}  {coeff:<24}"
+            f"  {r['gmm_max_variance']:>11.3g}  {r['fit_s']:>6.1f}"
+            f"  {r['sample_s']:>8.2f}")
+    return "\n".join(lines)
+
+
+def _leaves(node, at: tuple = ()):
+    """(dotted path, value) for every list length and scalar of a JSON tree."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _leaves(node[key], at + (key,))
+    elif isinstance(node, list):
+        yield ".".join(at + ("len",)), len(node)
+        for i, item in enumerate(node):
+            yield from _leaves(item, at + (str(i),))
+    else:
+        yield ".".join(at), node
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Print every differing value; 1 if any that is not a wall time differs."""
+    a, b = (dict(_leaves(json.loads((o / "quality.json").read_text())))
+            for o in (out_a, out_b))
+    n_diff = 0
+    for key in sorted(a.keys() | b.keys()):
+        if a.get(key, "missing") == b.get(key, "missing"):
+            continue
+        timing = key.endswith("_s")
+        n_diff += not timing
+        print(f"{key}  {a.get(key, 'missing')!r} vs {b.get(key, 'missing')!r}"
+              + ("  (wall time)" if timing else ""))
+    print(f"{n_diff} values differ, wall times aside")
+    return int(n_diff > 0)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) != 2:
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
+        return 2
+    src_root, out = (Path(a).resolve() for a in argv)
+    sys.path[:0] = [str(src_root / "src"), str(Path(__file__).resolve().parent)]
+    import artigen
+
+    if not Path(artigen.__file__).is_relative_to(src_root):
+        print(f"artigen imported from {artigen.__file__}, not {src_root}",
+              file=sys.stderr)
+        return 2
+    rows = {}
+    with contextlib.redirect_stdout(sys.stderr):
+        for seed in SEEDS:
+            rows[str(seed)] = _probe(seed, out / f"seed{seed}")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "quality.json").write_text(json.dumps(rows, indent=2))
+    print(_table(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

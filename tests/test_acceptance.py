@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from artigen import basis
 from artigen.basis import (
     BasisSet,
     DeformOperator,
@@ -92,38 +93,41 @@ def test_cage_deformation_linearity_and_brute_force():
             f"linearity dev {lin:.2e}, brute-force dev {bf:.2e} (tol 1e-12)")
 
 
-def test_basis_recovery_and_gradient():
+def test_basis_recovery_and_gradient(monkeypatch):
     rng = np.random.default_rng(2)
     box = grid_box(3)
     cage = build_cage(box)
     true_b = BasisSet(rng.normal(scale=0.08, size=(2, 42, 3)))
     zs = [np.array([1.0, 0.3]), np.array([-0.5, 0.8]), np.array([0.2, -0.9])]
-    cfg = FitConfig(chamfer_samples=512, outer_iters=30, lambda_orth=0.0,
-                    lambda_sp=0.0)
+    cfg = FitConfig(chamfer_samples=512)
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 2, cfg=cfg, seed=0)
+    # recovery without penalties; the gradient check below keeps their weights
+    with monkeypatch.context() as m:
+        m.setattr(basis, "_LAMBDA_ORTH", 0.0)
+        m.setattr(basis, "_LAMBDA_SP", 0.0)
+        fit = fit_bases([(box, t) for t in targets], cage, 2, outer_iters=30,
+                        cfg=cfg, seed=0)
     cd = max(chamfer_distance(op.points(fit.bases, z), t)
              for op, t, z in zip(ops, targets, fit.coeffs))
 
     scage, src = small_cage()
-    gcfg = FitConfig(chamfer_samples=64)
     gops = [DeformOperator(scage, src, 64, seed=i) for i in range(2)]
     gtargets = [op.p0 + rng.normal(scale=0.1, size=op.p0.shape) for op in gops]
     b = rng.normal(scale=0.1, size=(2, 6, 3))
     fits = [fit_coefficient(BasisSet(b), op, t) for op, t in zip(gops, gtargets)]
     coeffs = [f.z for f in fits]
     corrs = [f.correspondences for f in fits]
-    _, grad = basis_objective_and_grad(b, gops, gtargets, coeffs, corrs, gcfg)
+    _, grad = basis_objective_and_grad(b, gops, gtargets, coeffs, corrs)
     h = 1e-5
     fd = np.zeros_like(b)
     for idx in np.ndindex(b.shape):
         bp, bm = b.copy(), b.copy()
         bp[idx] += h
         bm[idx] -= h
-        op_, _ = basis_objective_and_grad(bp, gops, gtargets, coeffs, corrs, gcfg)
-        om_, _ = basis_objective_and_grad(bm, gops, gtargets, coeffs, corrs, gcfg)
+        op_, _ = basis_objective_and_grad(bp, gops, gtargets, coeffs, corrs)
+        om_, _ = basis_objective_and_grad(bm, gops, gtargets, coeffs, corrs)
         fd[idx] = (op_ - om_) / (2 * h)
     rel = np.abs(grad - fd).max() / np.abs(fd).max()
     ok = cd < 1e-6 and rel < 1e-4
@@ -255,7 +259,7 @@ def test_metrics_and_ablation(tmp_path):
         cfg = PipelineConfig(
             k=3, finetune_outer_iters=2,
             lambda_phy=lam, seed=0,
-            fit=FitConfig(chamfer_samples=128, outer_iters=2),
+            fit=FitConfig(chamfer_samples=128),
             sim=SimConfig(n_steps=10, n_det=2, seed=0),
         )
         mp = tmp_path / f"model_{lam}.json"

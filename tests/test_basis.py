@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from artigen import basis
 from artigen.basis import (
     BasisSet,
     DeformOperator,
@@ -197,17 +198,19 @@ def test_solve_bases_matched_equals_two_block_oracle(rng):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_synthesize_and_recover_two_bases(rng):
+def test_synthesize_and_recover_two_bases(rng, monkeypatch):
     box = grid_box(3)
     cage = build_cage(box)
     true_b = BasisSet(rng.normal(scale=0.08, size=(2, 42, 3)))
     zs = [np.array([1.0, 0.3]), np.array([-0.5, 0.8]), np.array([0.2, -0.9])]
-    cfg = FitConfig(chamfer_samples=512, outer_iters=30, lambda_orth=0.0,
-                    lambda_sp=0.0)
+    monkeypatch.setattr(basis, "_LAMBDA_ORTH", 0.0)
+    monkeypatch.setattr(basis, "_LAMBDA_SP", 0.0)
+    cfg = FitConfig(chamfer_samples=512)
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 2, cfg=cfg, seed=0)
+    fit = fit_bases([(box, t) for t in targets], cage, 2, outer_iters=30,
+                    cfg=cfg, seed=0)
     assert fit.loss_history[-1] < 1e-6
     # fitted model reproduces each target's point cloud
     for op, t, z in zip(ops, targets, fit.coeffs):
@@ -216,22 +219,21 @@ def test_synthesize_and_recover_two_bases(rng):
 
 def test_basis_gradient_matches_finite_differences(rng):
     cage, src = small_cage()
-    cfg = FitConfig(chamfer_samples=64)
     ops = [DeformOperator(cage, src, 64, seed=i) for i in range(2)]
     targets = [op.p0 + rng.normal(scale=0.1, size=op.p0.shape) for op in ops]
     b = rng.normal(scale=0.1, size=(2, 6, 3))
     fits = [fit_coefficient(BasisSet(b), op, t) for op, t in zip(ops, targets)]
     coeffs = [f.z for f in fits]
     corrs = [f.correspondences for f in fits]
-    _, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs, cfg)
+    _, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs)
     h = 1e-5
     fd = np.zeros_like(b)
     for idx in np.ndindex(b.shape):
         bp, bm = b.copy(), b.copy()
         bp[idx] += h
         bm[idx] -= h
-        op_, _ = basis_objective_and_grad(bp, ops, targets, coeffs, corrs, cfg)
-        om_, _ = basis_objective_and_grad(bm, ops, targets, coeffs, corrs, cfg)
+        op_, _ = basis_objective_and_grad(bp, ops, targets, coeffs, corrs)
+        om_, _ = basis_objective_and_grad(bm, ops, targets, coeffs, corrs)
         fd[idx] = (op_ - om_) / (2 * h)
     rel = np.abs(grad - fd).max() / np.abs(fd).max()
     assert rel < 1e-4
@@ -239,7 +241,7 @@ def test_basis_gradient_matches_finite_differences(rng):
 
 @pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1e-4, 1e-4), (1e3, 0.0)])
 @pytest.mark.parametrize("case", ["k1", "k2", "k16", "zero_basis", "collapsed"])
-def test_basis_objective_matches_two_pass_oracle(rng, case, lambdas):
+def test_basis_objective_matches_two_pass_oracle(rng, case, lambdas, monkeypatch):
     # one pass over the basis pairs gives the same bytes as the separate
     # matching, penalty and penalty-gradient passes
     box = grid_box(3)
@@ -254,8 +256,9 @@ def test_basis_objective_matches_two_pass_oracle(rng, case, lambdas):
     targets = [rng.normal(size=(48, 3)) for _ in ops]
     coeffs = [rng.normal(size=k) for _ in ops]
     corrs = [(rng.integers(48, size=64), rng.integers(64, size=48)) for _ in ops]
-    cfg = FitConfig(lambda_orth=lambdas[0], lambda_sp=lambdas[1])
-    loss, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs, cfg)
+    monkeypatch.setattr(basis, "_LAMBDA_ORTH", lambdas[0])
+    monkeypatch.setattr(basis, "_LAMBDA_SP", lambdas[1])
+    loss, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs)
     want_loss, want_grad = basis_objective_two_pass(b, ops, targets, coeffs, corrs,
                                                     *lambdas)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
@@ -270,22 +273,23 @@ def test_basis_objective_rejects_non_finite_bases(rng):
     op = DeformOperator(cage, src, 16, seed=0)
     corr = (np.zeros(16, dtype=int), np.zeros(4, dtype=int))
     with pytest.raises(ValueError, match="non-finite"):
-        basis_objective_and_grad(b, [op], [op.p0[:4]], [np.ones(2)], [corr],
-                                 FitConfig())
+        basis_objective_and_grad(b, [op], [op.p0[:4]], [np.ones(2)], [corr])
 
 
-def test_orthogonality_pressure(rng):
+def test_orthogonality_pressure(rng, monkeypatch):
     # strong orthogonality weight keeps fitted bases nearly orthogonal
     box = grid_box(3)
     cage = build_cage(box)
     true_b = BasisSet(rng.normal(scale=0.08, size=(3, 42, 3)))
     zs = [rng.normal(size=3) for _ in range(4)]
-    cfg = FitConfig(chamfer_samples=256, outer_iters=8, lambda_orth=1e3,
-                    lambda_sp=0.0)
+    monkeypatch.setattr(basis, "_LAMBDA_ORTH", 1e3)
+    monkeypatch.setattr(basis, "_LAMBDA_SP", 0.0)
+    cfg = FitConfig(chamfer_samples=256)
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=1 + i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 3, cfg=cfg, seed=1)
+    fit = fit_bases([(box, t) for t in targets], cage, 3, outer_iters=8,
+                    cfg=cfg, seed=1)
     assert orthogonality(fit.bases).max() < 0.1
 
 

@@ -34,7 +34,7 @@ from fixtures import write_eyeglasses_dataset
 def tiny_config() -> PipelineConfig:
     cfg = PipelineConfig(
         k=3, finetune_outer_iters=2, eval_points=256, seed=0,
-        fit=FitConfig(chamfer_samples=128, outer_iters=2),
+        fit=FitConfig(chamfer_samples=128),
         sim=SimConfig(n_steps=10, n_det=2, seed=0),
     )
     return cfg
@@ -49,10 +49,14 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pretrained(workdir):
+    import artigen.pipeline as pipeline
+
     root, ds = workdir
     path = root / "pre" / "model.json"
     path.parent.mkdir(exist_ok=True)
-    model = cmd_pretrain(ds, path, tiny_config())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "PRETRAIN_ROUNDS", 2)
+        model = cmd_pretrain(ds, path, tiny_config())
     return model, path
 
 
@@ -541,13 +545,18 @@ def test_out_of_range_sizes_are_config_errors(tmp_path, rec, match):
 
 @pytest.mark.parametrize("key", ["epsilon", "blend_radius_rel", "gmm_components",
                                  "n_samples_per_reference", "proj_train",
-                                 "proj_test", "jobs"])
+                                 "proj_test", "jobs", "fit.lambda_orth",
+                                 "fit.lambda_sp", "fit.outer_iters"])
 def test_apply_overrides_rejects_removed_settings(key):
     # these are module constants now: CAGE_EPSILON, build_deformable's and
-    # fit_gmm's defaults, SAMPLES_PER_REFERENCE, TRAIN_PROJ and TEST_PROJ;
-    # pretraining fits its convexes one after another, so no worker count
+    # fit_gmm's defaults, SAMPLES_PER_REFERENCE, TRAIN_PROJ and TEST_PROJ,
+    # basis._LAMBDA_ORTH and _LAMBDA_SP, and PRETRAIN_ROUNDS (fine-tuning
+    # asks fit_bases for one round); pretraining fits its convexes one after
+    # another, so no worker count
+    block, _, name = key.rpartition(".")
+    rec = {block: {name: {}}} if block else {key: {}}
     with pytest.raises(PipelineError, match=f"unknown config key '{key}'"):
-        apply_overrides(PipelineConfig(), {key: {}})
+        apply_overrides(PipelineConfig(), rec)
 
 
 @pytest.mark.parametrize("rec, match", [
@@ -566,8 +575,8 @@ def test_apply_overrides_rejects_wrong_types(rec, match):
 
 
 def test_apply_overrides_accepts_int_for_float():
-    cfg = apply_overrides(PipelineConfig(), {"lambda_phy": 0, "fit": {"lambda_sp": 1}})
-    assert (cfg.lambda_phy, cfg.fit.lambda_sp) == (0, 1)
+    cfg = apply_overrides(PipelineConfig(), {"lambda_phy": 0})
+    assert cfg.lambda_phy == 0
 
 
 @pytest.mark.parametrize("name, text", [("cfg.json", "{not json"),
