@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cage import Cage
-from .mesh import TriMesh, _surface_draw, sample_surface
+from .mesh import TriMesh, _surface_draw
 
 _NORM_EPS = 1e-12
 _ICP_TOL = 1e-8
@@ -100,6 +100,8 @@ class DeformOperator:
     """
 
     def __init__(self, cage: Cage, source: TriMesh, n_samples: int, seed: int = 0):
+        if np.abs(cage.phi).max() == 0:
+            raise ValueError("degenerate cage: zero interpolation matrix")
         fidx, bary = _surface_draw(source, n_samples, seed)
         corners = source.faces[fidx]  # (n, 3)
         self.p0 = np.einsum("nc,nca->na", bary, source.vertices[corners])
@@ -287,52 +289,33 @@ class BasisFit:
     converged: bool
 
 
-def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
-              outer_iters: int, cfg: FitConfig | None = None,
-              init: BasisSet | None = None,
-              extra_basis_grad: np.ndarray | None = None,
-              seed: int = 0) -> BasisFit:
+def fit_bases(ops: list[DeformOperator], targets: list[np.ndarray], init: BasisSet,
+              outer_iters: int,
+              extra_basis_grad: np.ndarray | None = None) -> BasisFit:
     """Alternating fit of K deformation bases and per-target coefficients.
 
-    All pairs must share the source convex (and thus the cage). Each of up
-    to ``outer_iters`` outer iterations fits coefficients by ICP-style
-    Chamfer minimization, solves the matched objective for the bases in
-    closed form, then takes gradient steps on the regularized objective.
-    ``extra_basis_grad``, a (K, N_t, 3) array when given, is added to the
-    objective's gradient at every step (the frozen physics penalty at
-    fine-tuning time). ``seed`` drives the random initial bases and the
-    surface samples.
+    ``ops[i]`` samples the source convex through its cage and ``targets[i]``
+    holds target i's (n, 3) surface samples; all operators share the source
+    and cage. The fit starts from the bases ``init``, which also give K.
+    Each of up to ``outer_iters`` outer iterations fits coefficients by
+    ICP-style Chamfer minimization, solves the matched objective for the
+    bases in closed form, then takes gradient steps on the regularized
+    objective. ``extra_basis_grad``, a (K, N_t, 3) array when given, is added
+    to the objective's gradient at every step (the frozen physics penalty at
+    fine-tuning time).
     """
-    cfg = cfg or FitConfig()
-    if not pairs:
-        raise ValueError("at least one correspondence pair required")
-    if np.abs(cage.phi).max() == 0:
-        raise ValueError("degenerate cage: zero interpolation matrix")
-    source = pairs[0][0]
-    rng = np.random.default_rng(seed)
-    n_t = cage.mesh.n_vertices
-    if init is not None:
-        b = np.array(init.bases)
-        if b.shape != (k, n_t, 3):
-            raise ValueError(f"init bases shape {b.shape} != {(k, n_t, 3)}")
-    else:
-        scale = 0.1 * max(np.ptp(source.vertices, axis=0).max(), 1e-6)
-        b = rng.normal(scale=scale, size=(k, n_t, 3))
-
-    ops = [DeformOperator(cage, source, cfg.chamfer_samples, seed=seed + i)
-           for i in range(len(pairs))]
-    # targets may be meshes (sampled here) or pre-sampled point arrays
-    target_pts = [t if isinstance(t, np.ndarray)
-                  else sample_surface(t, cfg.chamfer_samples, seed=seed + 7919 + i)
-                  for i, (_, t) in enumerate(pairs)]
+    if not ops:
+        raise ValueError("at least one target required")
+    b = np.array(init.bases)
+    k, n_t = b.shape[:2]
     extra = 0.0 if extra_basis_grad is None else extra_basis_grad
 
-    coeffs = [np.zeros(k) for _ in pairs]
+    coeffs = [np.zeros(k) for _ in ops]
     history: list[float] = []
     converged = False
     for _ in range(outer_iters):
         fits = [fit_coefficient(BasisSet(b), op, tgt, z0=z)
-                for op, tgt, z in zip(ops, target_pts, coeffs)]
+                for op, tgt, z in zip(ops, targets, coeffs)]
         coeffs = [f.z for f in fits]
         corrs = [f.correspondences for f in fits]
         l_c = float(np.mean([f.cd for f in fits]))
@@ -340,10 +323,10 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         if stalled(history):
             converged = True
             break
-        b_new = _solve_bases_matched(ops, target_pts, coeffs, corrs, k, n_t)
+        b_new = _solve_bases_matched(ops, targets, coeffs, corrs, k, n_t)
         # keep the closed-form step only if the regularized objective agrees
-        obj, grad = basis_objective_and_grad(b, ops, target_pts, coeffs, corrs)
-        obj_new, grad_new = basis_objective_and_grad(b_new, ops, target_pts, coeffs,
+        obj, grad = basis_objective_and_grad(b, ops, targets, coeffs, corrs)
+        obj_new, grad_new = basis_objective_and_grad(b_new, ops, targets, coeffs,
                                                      corrs)
         if obj_new <= obj:
             b, obj, grad = b_new, obj_new, grad_new
@@ -353,7 +336,7 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
         for _ in range(_REG_STEPS):
             b_try = b - lr * grad
             obj_try, grad_try = basis_objective_and_grad(
-                b_try, ops, target_pts, coeffs, corrs)
+                b_try, ops, targets, coeffs, corrs)
             if obj_try < obj:
                 b, obj, grad = b_try, obj_try, grad_try + extra
                 lr *= 1.2
@@ -362,7 +345,7 @@ def fit_bases(pairs: list[tuple[TriMesh, TriMesh]], cage: Cage, k: int,
 
     bases = BasisSet(b)
     fits = [fit_coefficient(bases, op, tgt, z0=z)
-            for op, tgt, z in zip(ops, target_pts, coeffs)]
+            for op, tgt, z in zip(ops, targets, coeffs)]
     coeffs = [f.z for f in fits]
     history.append(float(np.mean([f.cd for f in fits])))
     return BasisFit(bases=bases, coeffs=coeffs, loss_history=history,

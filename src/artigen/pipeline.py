@@ -10,6 +10,7 @@ import numpy as np
 
 from .basis import (
     BasisSet,
+    DeformOperator,
     FitConfig,
     GaussianMixture,
     fit_bases,
@@ -318,22 +319,47 @@ def _convex_seed(cfg: PipelineConfig, pi: int, ci: int) -> int:
     return cfg.seed + 31 * (pi * 97 + ci)
 
 
+def _fit_inputs(dataset_path, cfg: PipelineConfig, stage: str):
+    """Load a dataset and build each source convex's fitting inputs once.
+
+    Returns the dataset and, per source convex in manifest order, the tuple
+    (part index, index within part, convex, cage, operators, target
+    samples): one ``DeformOperator`` and one surface sampling of the
+    matching convex per target object, seeded from ``_convex_seed``.
+    """
+    ds = load_dataset(dataset_path)
+    if len(ds.objects) < 2:
+        raise PipelineError(f"{stage} needs at least 2 corresponding objects")
+    n = cfg.fit.chamfer_samples
+    inputs = []
+    for pi, ci, convex in _flat_convexes(ds.objects[0]):
+        seed, cage = _convex_seed(cfg, pi, ci), build_cage(convex)
+        targets = [t.parts[pi].convexes[ci] for t in ds.objects[1:]]
+        inputs.append((pi, ci, convex, cage,
+                       [DeformOperator(cage, convex, n, seed=seed + i)
+                        for i in range(len(targets))],
+                       [sample_surface(t, n, seed=seed + 7919 + i)
+                        for i, t in enumerate(targets)]))
+    return ds, inputs
+
+
+def _random_bases(seed: int, spread: float, k: int, cage: Cage) -> BasisSet:
+    """K random cage-offset patterns, normal with deviation ``spread`` / 10."""
+    return BasisSet(np.random.default_rng(seed).normal(
+        scale=0.1 * max(spread, 1e-6), size=(k, cage.mesh.n_vertices, 3)))
+
+
 def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
     """Fit per-convex deformation bases on all correspondence pairs.
 
     Convexes are fitted independently, one after another.
     """
-    ds = load_dataset(dataset_path)
-    if len(ds.objects) < 2:
-        raise PipelineError("pretraining needs at least 2 corresponding objects")
-    source, targets = ds.objects[0], ds.objects[1:]
-
+    ds, inputs = _fit_inputs(dataset_path, cfg, "pretraining")
     convexes = []
-    for pi, ci, convex in _flat_convexes(source):
-        cage = build_cage(convex)
-        fit = fit_bases([(convex, t.parts[pi].convexes[ci]) for t in targets],
-                        cage, cfg.k, PRETRAIN_ROUNDS, cfg=cfg.fit,
-                        seed=_convex_seed(cfg, pi, ci))
+    for pi, ci, convex, cage, ops, targets in inputs:
+        init = _random_bases(_convex_seed(cfg, pi, ci),
+                             np.ptp(convex.vertices, axis=0).max(), cfg.k, cage)
+        fit = fit_bases(ops, targets, init, PRETRAIN_ROUNDS)
         convexes.append(ConvexModel(
             part_index=pi, convex_index=ci, cage=cage, bases=fit.bases,
             coeffs=np.stack(fit.coeffs), loss_history=fit.loss_history,
@@ -381,31 +407,22 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
     update, and refits every convex for one alternation round. Ends with
     synchronization and a Gaussian mixture over the global coefficients.
     """
-    ds = load_dataset(dataset_path)
-    if len(ds.objects) < 2:
-        raise PipelineError("finetuning needs at least 2 corresponding objects")
-    source, targets = ds.objects[0], ds.objects[1:]
-    n_targets = len(targets)
+    ds, inputs = _fit_inputs(dataset_path, cfg, "finetuning")
+    source, n_targets = ds.objects[0], len(ds.objects) - 1
 
     pre = load_model(pretrained_path) if pretrained_path else None
-    flat = _flat_convexes(source)
-    if pre is not None and (len(pre.convexes), pre.k) != (len(flat), cfg.k):
+    if pre is not None and (len(pre.convexes), pre.k) != (len(inputs), cfg.k):
         raise PipelineError(
             f"pretrained model {pretrained_path} has {len(pre.convexes)} convexes "
-            f"and k={pre.k}; this run has {len(flat)} convexes and k={cfg.k}"
+            f"and k={pre.k}; this run has {len(inputs)} convexes and k={cfg.k}"
         )
 
     # pretrained bases index template cage vertices, so they carry over to this
-    # source; its cages are built here, as in pretraining
+    # source; its cages come from _fit_inputs, as in pretraining
     convexes: list[ConvexModel] = []
-    for fi, (pi, ci, convex) in enumerate(flat):
-        cage = build_cage(convex)
-        if pre is not None:
-            bases = pre.convexes[fi].bases
-        else:
-            bases = BasisSet(np.random.default_rng(cfg.seed + fi).normal(
-                scale=0.1 * max(np.ptp(convex.vertices), 1e-6),
-                size=(cfg.k, cage.mesh.n_vertices, 3)))
+    for fi, (pi, ci, convex, cage, _, _) in enumerate(inputs):
+        bases = (pre.convexes[fi].bases if pre is not None else
+                 _random_bases(cfg.seed + fi, np.ptp(convex.vertices), cfg.k, cage))
         convexes.append(ConvexModel(
             part_index=pi, convex_index=ci, cage=cage, bases=bases,
             coeffs=np.zeros((n_targets, cfg.k)), loss_history=[],
@@ -415,10 +432,10 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
                   seed=cfg.seed)
 
     # convex m reads block m of the stacked per-convex coefficients
-    blocks = np.split(np.eye(len(flat) * cfg.k), len(flat))
+    blocks = np.split(np.eye(len(inputs) * cfg.k), len(inputs))
     lc_history: list[float] = []
     for outer in range(cfg.finetune_outer_iters):
-        phy_grads = [None] * len(flat)
+        phy_grads = [None] * len(inputs)
         if cfg.lambda_phy > 0:
             # train-time correction on the stacked coefficients, per target
             dobj = build_deformable(model, source, blocks, blend_radius_rel=0.0,
@@ -426,22 +443,21 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
             for i in range(n_targets):
                 z, _, _ = correct_shape(dobj, stack_coeffs(model, i),
                                         TRAIN_PROJ, cfg.sim)
-                for cm, zm in zip(model.convexes, z.reshape(len(flat), cfg.k)):
+                for cm, zm in zip(model.convexes, z.reshape(len(inputs), cfg.k)):
                     cm.coeffs[i] = zm
             phy_grads = _phy_basis_grads(model, dobj, n_targets, cfg)
 
         round_losses = []
-        for (pi, ci, convex), cm, g in zip(flat, model.convexes, phy_grads):
-            pairs = [(convex, t.parts[pi].convexes[ci]) for t in targets]
-            fit = fit_bases(pairs, cm.cage, cfg.k, 1, cfg=cfg.fit,
-                            init=cm.bases, extra_basis_grad=g,
-                            seed=_convex_seed(cfg, pi, ci))
+        for (*_, ops, targets), cm, g in zip(inputs, model.convexes, phy_grads):
+            fit = fit_bases(ops, targets, cm.bases, 1, extra_basis_grad=g)
             cm.bases = fit.bases
             cm.coeffs = np.stack(fit.coeffs)
             cm.loss_history.extend(fit.loss_history)
             round_losses.append(fit.loss_history[-1])
         lc_history.append(float(np.mean(round_losses)))
         if stalled(lc_history):
+            for cm in model.convexes:
+                cm.converged = True
             break
 
     y = np.stack([np.asarray(c.coeffs) for c in model.convexes])  # (M, |A|, K)

@@ -2,6 +2,7 @@
 
 Usage: python tests/quality.py SRC_ROOT OUT
        python tests/quality.py --compare OUT_A OUT_B
+       python tests/quality.py --ablation SRC_ROOT
 
 Imports ``artigen`` from ``SRC_ROOT/src`` (a checkout of this repository)
 and, with one BLAS thread, runs one probe per fixture dataset seed 0-3:
@@ -25,6 +26,14 @@ The rows go to ``OUT/quality.json`` and a table of them to standard output.
 ``--compare`` takes the ``OUT`` trees of two such runs, prints every value
 that differs between their ``quality.json`` files, and exits 1 when any
 value other than a wall time (a key ending in ``_s``) differs, 0 otherwise.
+
+``--ablation`` repeats the paired run of ``test_metrics_and_ablation``
+(tests/test_acceptance.py; its config is copied here) on fixture dataset
+seeds 0-11: a 3-object dataset fine-tuned at ``lambda_phy`` 0 and 1, then 8
+corrected draws around ``glasses_00`` from each model. Each BLAS thread
+count (1, then 2) runs in its own subprocess. Per seed it prints lambda=1 /
+lambda=0 - 1 of the mean APD after correction, then the share of seeds
+where lambda=1 <= lambda=0, the check that test makes on seed 0.
 """
 
 from __future__ import annotations
@@ -32,15 +41,20 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # set before numpy is imported: the fitted model depends on the thread count
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in BLAS_VARS:
     os.environ[_var] = "1"
 
 SEEDS = (0, 1, 2, 3)
+ABLATION_SEEDS = range(12)
+ABLATION_THREADS = (1, 2)
 N_DRAWS = 40
 OVER_WIDE = 1.5      # a draw is over-wide beyond this multiple of the widest reference
 
@@ -152,19 +166,78 @@ def compare(out_a: Path, out_b: Path) -> int:
     return int(n_diff > 0)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--compare":
-        return compare(Path(argv[1]), Path(argv[2]))
-    if len(argv) != 2:
-        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
-        return 2
-    src_root, out = (Path(a).resolve() for a in argv)
+def _ablation_apds(dataset_seed: int, out: Path) -> tuple[float, float]:
+    """Mean APD after correction at lambda_phy 0 and 1, as the test runs them."""
+    from artigen.basis import FitConfig
+    from artigen.physics import SimConfig
+    from artigen.pipeline import PipelineConfig, cmd_finetune, cmd_sample
+    from fixtures import write_eyeglasses_dataset
+
+    ds = write_eyeglasses_dataset(out / "data", n=3, seed=dataset_seed)
+    apds = []
+    for lam in (0.0, 1.0):
+        cfg = PipelineConfig(k=3, finetune_outer_iters=2, lambda_phy=lam, seed=0,
+                             fit=FitConfig(chamfer_samples=128),
+                             sim=SimConfig(n_steps=10, n_det=2, seed=0))
+        cmd_finetune(ds, out / f"model_{lam}.json", cfg)
+        rep = cmd_sample(out / f"model_{lam}.json", out / "data/glasses_00/object.json",
+                         out / f"samples_{lam}", cfg, n=8, seed=11)
+        apds.append(rep["mean_apd_after"])
+    return tuple(apds)
+
+
+def ablation(src_root: Path) -> int:
+    """Print the ablation pairs per seed under each BLAS thread count."""
+    for threads in ABLATION_THREADS:
+        run = subprocess.run([sys.executable, __file__, "--ablation-worker",
+                              str(src_root), str(threads)], capture_output=True,
+                             text=True)
+        if run.returncode != 0:
+            print(run.stderr, file=sys.stderr)
+            return run.returncode
+        pairs = json.loads(run.stdout)
+        print(f"{threads} BLAS thread(s): lambda=1 / lambda=0 - 1 of mean APD after")
+        for seed, (apd0, apd1) in pairs.items():
+            print(f"  seed {seed:>2}  {apd1 / apd0 - 1:+7.1%}  "
+                  f"({apd1:.6e} vs {apd0:.6e})")
+        held = sum(apd1 <= apd0 + 1e-12 for apd0, apd1 in pairs.values())
+        print(f"  lambda=1 <= lambda=0 on {held}/{len(pairs)} seeds")
+    return 0
+
+
+def _import_artigen(src_root: Path) -> bool:
+    """Put ``SRC_ROOT/src`` and this directory first on the path; check it took."""
     sys.path[:0] = [str(src_root / "src"), str(Path(__file__).resolve().parent)]
     import artigen
 
     if not Path(artigen.__file__).is_relative_to(src_root):
         print(f"artigen imported from {artigen.__file__}, not {src_root}",
               file=sys.stderr)
+        return False
+    return True
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and argv[0] == "--ablation":
+        return ablation(Path(argv[1]).resolve())
+    if len(argv) == 3 and argv[0] == "--ablation-worker":
+        # numpy is not imported yet, so BLAS starts with this thread count
+        for var in BLAS_VARS:
+            os.environ[var] = argv[2]
+        if not _import_artigen(Path(argv[1])):
+            return 2
+        with contextlib.redirect_stdout(sys.stderr), tempfile.TemporaryDirectory() as tmp:
+            pairs = {str(seed): _ablation_apds(seed, Path(tmp) / f"seed{seed}")
+                     for seed in ABLATION_SEEDS}
+        print(json.dumps(pairs))
+        return 0
+    if len(argv) != 2:
+        print("\n".join(__doc__.strip().splitlines()[2:5]), file=sys.stderr)
+        return 2
+    src_root, out = (Path(a).resolve() for a in argv)
+    if not _import_artigen(src_root):
         return 2
     rows = {}
     with contextlib.redirect_stdout(sys.stderr):

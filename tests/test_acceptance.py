@@ -35,7 +35,8 @@ from artigen.physics import (
     correct_shape,
     single_simulation,
 )
-from artigen.pipeline import PipelineConfig, cmd_finetune, cmd_sample, desk_profile
+from artigen.pipeline import (PipelineConfig, _random_bases, cmd_finetune, cmd_sample,
+                              desk_profile)
 from fixtures import grid_box, hinge_wall_rod, simple_box, write_eyeglasses_dataset
 from oracle import apply_cage_deform, frozen_proj_loss, rigid_part
 from test_basis import small_cage
@@ -103,12 +104,12 @@ def test_basis_recovery_and_gradient(monkeypatch):
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
+    init = _random_bases(0, np.ptp(box.vertices, axis=0).max(), 2, cage)
     # recovery without penalties; the gradient check below keeps their weights
     with monkeypatch.context() as m:
         m.setattr(basis, "_LAMBDA_ORTH", 0.0)
         m.setattr(basis, "_LAMBDA_SP", 0.0)
-        fit = fit_bases([(box, t) for t in targets], cage, 2, outer_iters=30,
-                        cfg=cfg, seed=0)
+        fit = fit_bases(ops, targets, init, outer_iters=30)
     cd = max(chamfer_distance(op.points(fit.bases, z), t)
              for op, t, z in zip(ops, targets, fit.coeffs))
 

@@ -18,6 +18,7 @@ from artigen.basis import (
 )
 from artigen.cage import Cage, build_cage, weight_matrix
 from artigen.mesh import TriMesh
+from artigen.pipeline import _random_bases
 from fixtures import grid_box
 from oracle import (
     _solve_matched,
@@ -69,6 +70,14 @@ def test_deform_operator_affine(rng):
     rhs = (op.points(bases, z1) - op.p0) + (op.points(bases, z2) - op.p0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     np.testing.assert_array_equal(op.points(bases, np.zeros(3)), op.p0)
+
+
+def test_deform_operator_rejects_degenerate_cage():
+    # an all-zero interpolation matrix would pin every sample to its rest place
+    cage, src = small_cage()
+    flat = Cage(mesh=cage.mesh, phi=np.zeros_like(cage.phi))
+    with pytest.raises(ValueError, match="degenerate cage: zero interpolation matrix"):
+        DeformOperator(flat, src, 16)
 
 
 def test_lsq_coefficient_recovers(rng):
@@ -209,8 +218,8 @@ def test_synthesize_and_recover_two_bases(rng, monkeypatch):
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 2, outer_iters=30,
-                    cfg=cfg, seed=0)
+    init = _random_bases(0, np.ptp(box.vertices, axis=0).max(), 2, cage)
+    fit = fit_bases(ops, targets, init, outer_iters=30)
     assert fit.loss_history[-1] < 1e-6
     # fitted model reproduces each target's point cloud
     for op, t, z in zip(ops, targets, fit.coeffs):
@@ -288,8 +297,8 @@ def test_orthogonality_pressure(rng, monkeypatch):
     ops = [DeformOperator(cage, box, cfg.chamfer_samples, seed=1 + i)
            for i in range(len(zs))]
     targets = [op.points(true_b, z) for op, z in zip(ops, zs)]
-    fit = fit_bases([(box, t) for t in targets], cage, 3, outer_iters=8,
-                    cfg=cfg, seed=1)
+    init = _random_bases(1, np.ptp(box.vertices, axis=0).max(), 3, cage)
+    fit = fit_bases(ops, targets, init, outer_iters=8)
     assert orthogonality(fit.bases).max() < 0.1
 
 

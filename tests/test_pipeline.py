@@ -214,6 +214,51 @@ def test_finetune_adds_sync_and_gmm(finetuned):
                                   model.sync.global_coeffs)
 
 
+def test_finetune_builds_fitting_inputs_once(workdir, tmp_path, monkeypatch):
+    # operators and target samples depend on no round's bases, so each source
+    # convex gets them once per target however many rounds run
+    import sys
+
+    import artigen.basis as basis
+    import artigen.mesh as mesh
+
+    _, ds = workdir
+    built, sampled = [], []
+    init, sample = basis.DeformOperator.__init__, mesh.sample_surface
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_sample(*args, **kwargs):
+        sampled.append(1)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(basis.DeformOperator, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artigen") and getattr(module, "sample_surface", None) is sample:
+            monkeypatch.setattr(module, "sample_surface", counted_sample)
+    model = cmd_finetune(ds, tmp_path / "model.json",
+                         replace(tiny_config(), finetune_outer_iters=3))
+    # every round ran: one alternation round plus the final fit's entry each
+    assert all(len(c.loss_history) == 6 for c in model.convexes)
+    n_pairs = len(model.convexes) * len(model.sync.global_coeffs)
+    assert (len(built), len(sampled)) == (n_pairs, n_pairs)
+
+
+def test_finetune_records_whether_it_converged(workdir, tmp_path, monkeypatch):
+    import artigen.pipeline as pipeline
+
+    _, ds = workdir
+    path = tmp_path / "model.json"
+    assert not any(c.converged for c in cmd_finetune(ds, path, tiny_config()).convexes)
+    monkeypatch.setattr(pipeline, "stalled", lambda history: True)
+    model = cmd_finetune(ds, path, tiny_config())
+    assert all(len(c.loss_history) == 2 for c in model.convexes)
+    assert all(c.converged for c in model.convexes)
+    assert all(c["converged"] for c in json.loads(path.read_text())["convexes"])
+
+
 def test_finetune_sync_matches_alternation_oracle(finetuned):
     from artigen.sync import sync_objective
     from oracle import synchronize_per_target
