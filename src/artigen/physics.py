@@ -298,16 +298,14 @@ def _sweep_pairs(coords, v_all, first, end, vi, fi, nrm, pd, frames, cells,
 
 @dataclass
 class SimResult:
-    pene: float
-    proj: float
+    # per-face-group losses, each as if its group were simulated alone
+    group_pene: np.ndarray
+    group_proj: np.ndarray
+    # (t, v, f) index arrays of the counted crossings; step t runs 0..N_s-1
+    crossings: tuple[np.ndarray, np.ndarray, np.ndarray]
     # rest-frame per-vertex gradients computed with the crossings frozen
     proj_grad_v: np.ndarray | None = None
     phy_grad_v: np.ndarray | None = None
-    # (t, v, f) index arrays of the counted crossings; step t runs 0..N_s-1
-    crossings: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    # per-face-group losses, each as if its group were simulated alone
-    group_pene: np.ndarray | None = None
-    group_proj: np.ndarray | None = None
 
 
 def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
@@ -326,8 +324,8 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
     share faces. The result reports each group's own loss (as if simulated
     alone), which lets one call stand in for several equal-topology
     references whose common faces are swept once. Group ``g`` stands for
-    ``group_counts[g]`` identical references (1 each by default): the totals
-    and gradients weight each crossing by the number of references that hold
+    ``group_counts[g]`` identical references (1 each by default): the
+    gradients weight each crossing by the number of references that hold
     its face, as if the reference held every copy. Without ``groups`` the
     whole reference is one group.
 
@@ -348,9 +346,8 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         raise ValueError("groups mark different face counts")
     no_idx = np.zeros(0, dtype=np.intp)
     zeros = np.zeros((mov.n_vertices, 3)) if want_grad else None
-    zero = SimResult(0.0, 0.0, proj_grad_v=zeros, phy_grad_v=zeros,
-                     crossings=(no_idx, no_idx, no_idx),
-                     group_pene=np.zeros(n_groups), group_proj=np.zeros(n_groups))
+    zero = SimResult(np.zeros(n_groups), np.zeros(n_groups),
+                     (no_idx, no_idx, no_idx), zeros, zeros)
     if joint.is_fixed:
         return zero
     if ref.n_faces == 0 or ref.n_vertices == 0:
@@ -372,14 +369,11 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         return zero
 
     s = np.sign(d)
-    w = (counts @ mask)[fi].astype(np.float64)
     pene_terms = np.clip(d * s, 0.0, None)
-    pene = float((pene_terms * w).sum() * scale)
     dv = v_all[ti + 1, vi] - v_all[ti, vi]          # step displacement per triple
     n_rows = normals[fi]
     dv_n = np.einsum("na,na->n", dv, n_rows)
     proj_terms = dv_n * d
-    proj = float((proj_terms * w).sum() * scale)
 
     gscale = scale * n_total     # per-group loss uses its own face count
     # each group sums its crossings in (t, v, f) order
@@ -389,7 +383,7 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
 
     proj_grad_v = phy_grad_v = None
     if want_grad:
-        wscale = (scale * w)[:, None]
+        wscale = (scale * (counts @ mask)[fi].astype(np.float64))[:, None]
         proj_grad_v = np.zeros((nv, 3))
         phy_grad_v = np.zeros((nv, 3))
         # displacement term: d dV_t / d V_rest = R_t - R_{t-1}
@@ -402,9 +396,7 @@ def single_simulation(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int,
         phy_rows = np.einsum("nab,na->nb", rots[ti + 1],
                              (live * s)[:, None] * n_rows)
         np.add.at(phy_grad_v, vi, wscale * phy_rows)
-    return SimResult(pene, proj, proj_grad_v=proj_grad_v, phy_grad_v=phy_grad_v,
-                     crossings=(ti, vi, fi), group_pene=group_pene,
-                     group_proj=group_proj)
+    return SimResult(group_pene, group_proj, (ti, vi, fi), proj_grad_v, phy_grad_v)
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +535,23 @@ def correct_shape(dobj: DeformableObject, z: np.ndarray, proj_cfg: ProjConfig,
                   sim_cfg: SimConfig):
     """Descend the projection loss in z; returns (z', report before, report after).
 
-    The descent stops at a fixed point: once a step leaves z unchanged bit
-    for bit, every later step would repeat the same computation, so the
-    report just computed at z is the report after. Bytes are compared, so a
-    step that only flips the sign of a zero still counts as a move.
+    Every report comes from a gradient pass: the first pass reports at the
+    given z, and each step is followed by a pass at the new z, so at most
+    ``iters + 1`` passes run and the last takes no step. The descent stops
+    at a fixed point: once a step leaves z unchanged bit for bit, every later
+    step would repeat the same computation, so the report just computed at z
+    is the report after. Bytes are compared, so a step that only flips the
+    sign of a zero still counts as a move.
     """
     z = np.array(z, dtype=np.float64)
-    before = None
+    before, grad = grad_proj_wrt_z(dobj, z, sim_cfg)
+    after = before
     for _ in range(proj_cfg.iters):
-        report, grad = grad_proj_wrt_z(dobj, z, sim_cfg)
-        if before is None:
-            before = report          # the gradient pass already evaluates at z
         if not np.isfinite(grad).all():
             raise FloatingPointError("non-finite projection gradient")
         z_new = z - proj_cfg.eps_proj * grad
         if z_new.tobytes() == z.tobytes():
-            return z, before, report
+            break
         z = z_new
-    after, _, _ = _run_losses(dobj.parts, [p.mesh_at(z) for p in dobj.parts],
-                              sim_cfg)
-    return z, after if before is None else before, after
+        after, grad = grad_proj_wrt_z(dobj, z, sim_cfg)
+    return z, before, after

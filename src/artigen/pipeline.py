@@ -377,25 +377,24 @@ def cmd_pretrain(dataset_path, out_path, cfg: PipelineConfig) -> Model:
 
 
 def _phy_basis_grads(model: Model, dobj: DeformableObject,
-                     n_targets: int, cfg: PipelineConfig) -> list[np.ndarray]:
+                     zs: list[np.ndarray], cfg: PipelineConfig) -> list[np.ndarray]:
     """Frozen-mask d(lambda_phy * L_phy)/dB per convex, averaged over targets.
 
-    The penetration loss's rest-frame vertex gradient is computed once per
+    ``zs`` holds each target's stacked per-convex coefficient. The
+    penetration loss's rest-frame vertex gradient is computed once per
     target and pulled back through each convex's interpolation weights and
-    its per-target coefficient.
+    its block of that target's coefficient.
     """
     k = model.k
     grads = [np.zeros((k, cm.cage.phi.shape[1], 3)) for cm in model.convexes]
-    for i in range(n_targets):
-        z = stack_coeffs(model, i)
+    for z in zs:
         _, part_grads = grad_phy_wrt_vertices(dobj, z, cfg.sim)
-        for m, cm in enumerate(model.convexes):
+        for m, (cm, zm) in enumerate(zip(model.convexes, z.reshape(-1, k))):
             g = part_grads[cm.part_index]
             a, b = dobj.parts[cm.part_index].convex_slices[cm.convex_index]
             pull = cm.cage.phi.T @ g[a:b]      # (N_t, 3)
-            grads[m] += np.einsum("j,ta->jta",
-                                  np.asarray(cm.coeffs)[i], pull)
-    return [cfg.lambda_phy * g / max(n_targets, 1) for g in grads]
+            grads[m] += np.einsum("j,ta->jta", zm, pull)
+    return [cfg.lambda_phy * g / max(len(zs), 1) for g in grads]
 
 
 def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
@@ -440,12 +439,9 @@ def cmd_finetune(dataset_path, out_path, cfg: PipelineConfig,
             # train-time correction on the stacked coefficients, per target
             dobj = build_deformable(model, source, blocks, blend_radius_rel=0.0,
                                     cages=[c.cage for c in model.convexes])
-            for i in range(n_targets):
-                z, _, _ = correct_shape(dobj, stack_coeffs(model, i),
-                                        TRAIN_PROJ, cfg.sim)
-                for cm, zm in zip(model.convexes, z.reshape(len(inputs), cfg.k)):
-                    cm.coeffs[i] = zm
-            phy_grads = _phy_basis_grads(model, dobj, n_targets, cfg)
+            zs = [correct_shape(dobj, stack_coeffs(model, i), TRAIN_PROJ,
+                                cfg.sim)[0] for i in range(n_targets)]
+            phy_grads = _phy_basis_grads(model, dobj, zs, cfg)
 
         round_losses = []
         for (*_, ops, targets), cm, g in zip(inputs, model.convexes, phy_grads):

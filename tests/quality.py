@@ -14,14 +14,25 @@ and, with one BLAS thread, runs one probe per fixture dataset seed 0-3:
   (seed 0), counting the passes of the correction loop through
   ``physics.grad_proj_wrt_z``;
 - scores the draws against the 5 references with ``cmd_eval`` (512 points
-  per cloud, ``sample_surface`` seeded by index within each set).
+  per cloud, ``sample_surface`` seeded by index within each set);
+- draws the colliding set: 40 more corrected samples (seed 0) from the same
+  model around ``glasses_01`` with both legs folded, their ``ref_states`` at
+  the closed ends of their ranges (``FOLDED``, written to
+  ``OUT/seed<s>/data/glasses_01/object_folded.json``).
 
 Each seed's row holds: the draws wider in x than 1.5 times the widest
 reference ("over-wide") and the widest draw; MMD, COV, 1-NNA and JSD; the
 mean APD before and after correction; correction passes per draw; per
-convex, the final mean Chamfer of its fit and its largest coefficient
-magnitude; the GMM's largest variance; and the fit and sample wall times.
-The rows go to ``OUT/quality.json`` and a table of them to standard output.
+convex, the final mean Chamfer of its fit, its largest coefficient
+magnitude, the smallest entry of its cage weights ``phi`` and the smallest
+singular value of ``phi``; the GMM's largest variance; the fit and sample
+wall times; and under ``colliding``, the colliding set's over-wide draws,
+mean APD before and after correction and passes per draw, with the APD of
+``glasses_01`` itself unfolded and folded (``cmd_simulate``). Passes per
+draw count gradient passes, the final evaluation included: a draw that
+takes all 10 test-time steps makes 11, one whose first step leaves z as it
+is makes 1. The rows go to ``OUT/quality.json`` and tables of them to
+standard output.
 
 ``--compare`` takes the ``OUT`` trees of two such runs, prints every value
 that differs between their ``quality.json`` files, and exits 1 when any
@@ -57,15 +68,48 @@ ABLATION_SEEDS = range(12)
 ABLATION_THREADS = (1, 2)
 N_DRAWS = 40
 OVER_WIDE = 1.5      # a draw is over-wide beyond this multiple of the widest reference
+# the colliding set's leg ref_states: each leg at the folded end of its range
+FOLDED = {"leg_l": [1.5], "leg_r": [-1.5]}
+
+
+def _sample_counted(*args) -> tuple[dict, float, float]:
+    """``cmd_sample(*args)``'s report, gradient passes per draw and wall time."""
+    import artigen.physics as physics
+    from artigen.pipeline import cmd_sample
+
+    passes = []
+    counted = physics.grad_proj_wrt_z
+
+    def grad_proj_wrt_z(*a, **kw):
+        passes.append(1)
+        return counted(*a, **kw)
+
+    physics.grad_proj_wrt_z = grad_proj_wrt_z
+    try:
+        t0 = time.perf_counter()
+        report = cmd_sample(*args, n=N_DRAWS, seed=0)
+        return report, len(passes) / N_DRAWS, time.perf_counter() - t0
+    finally:
+        physics.grad_proj_wrt_z = counted
+
+
+def _folded(manifest: Path) -> Path:
+    """A copy of ``manifest`` beside it with both legs' ``ref_states`` folded."""
+    rec = json.loads(manifest.read_text())
+    for part in rec["parts"]:
+        if part["name"] in FOLDED:
+            part["ref_states"] = FOLDED[part["name"]]
+    path = manifest.with_name("object_folded.json")
+    path.write_text(json.dumps(rec, indent=2))
+    return path
 
 
 def _probe(seed: int, out: Path) -> dict:
     import numpy as np
 
-    import artigen.physics as physics
     from artigen.mesh import load_obj
     from artigen.pipeline import (PipelineConfig, cmd_eval, cmd_finetune,
-                                  cmd_sample, desk_profile, load_dataset)
+                                  cmd_simulate, desk_profile, load_dataset)
     from fixtures import write_eyeglasses_dataset
 
     cfg = desk_profile(PipelineConfig(seed=0))
@@ -74,48 +118,56 @@ def _probe(seed: int, out: Path) -> dict:
     model = cmd_finetune(dataset, out / "model.json", cfg)
     fit_s = time.perf_counter() - t0
 
-    passes = []
-    counted = physics.grad_proj_wrt_z
-
-    def grad_proj_wrt_z(*args, **kwargs):
-        passes.append(1)
-        return counted(*args, **kwargs)
-
-    physics.grad_proj_wrt_z = grad_proj_wrt_z
-    try:
-        t0 = time.perf_counter()
-        report = cmd_sample(out / "model.json",
-                            out / "data/glasses_01/object.json", out / "samples",
-                            cfg, n=N_DRAWS, seed=0)
-        sample_s = time.perf_counter() - t0
-    finally:
-        physics.grad_proj_wrt_z = counted
+    reference = out / "data/glasses_01/object.json"
+    report, passes, sample_s = _sample_counted(out / "model.json", reference,
+                                               out / "samples", cfg)
     scores = cmd_eval(out / "samples", dataset, cfg)["metrics"]
+    folded = _folded(reference)
+    report_f, passes_f, _ = _sample_counted(out / "model.json", folded,
+                                            out / "samples_folded", cfg)
 
     def x_width(vertices) -> float:
         return float(np.ptp(vertices[:, 0]))
 
+    def widths(samples: Path, rep: dict) -> list[float]:
+        return [x_width(load_obj(samples / s["file"]).vertices)
+                for s in rep["samples"] if s["file"] is not None]
+
     ref_widest = max(x_width(np.concatenate([p.merged().vertices for p in o.parts]))
                      for o in load_dataset(dataset).objects)
-    widths = [x_width(load_obj(out / "samples" / s["file"]).vertices)
-              for s in report["samples"] if s["file"] is not None]
+    drawn = widths(out / "samples", report)
+    drawn_f = widths(out / "samples_folded", report_f)
+    phis = [c.cage.phi for c in model.convexes]
     return {
         "draws": N_DRAWS,
-        "failed_draws": N_DRAWS - len(widths),
-        "over_wide": sum(w > OVER_WIDE * ref_widest for w in widths),
-        "widest": max(widths),
+        "failed_draws": N_DRAWS - len(drawn),
+        "over_wide": sum(w > OVER_WIDE * ref_widest for w in drawn),
+        "widest": max(drawn),
         "ref_widest": ref_widest,
         "mmd": scores["mmd"], "cov": scores["cov"],
         "one_nna": scores["one_nna"], "jsd": scores["jsd"],
         "apd_before": report["mean_apd_before"],
         "apd_after": report["mean_apd_after"],
-        "passes_per_draw": len(passes) / N_DRAWS,
+        "passes_per_draw": passes,
         "convexes": [f"({c.part_index}, {c.convex_index})" for c in model.convexes],
         "final_chamfer": [c.loss_history[-1] for c in model.convexes],
         "max_abs_coeff": [float(np.abs(c.coeffs).max()) for c in model.convexes],
+        "min_phi": [float(phi.min()) for phi in phis],
+        "min_sv_phi": [float(np.linalg.svd(phi, compute_uv=False).min())
+                       for phi in phis],
         "gmm_max_variance": float(model.gmm.variances.max()),
         "fit_s": fit_s,
         "sample_s": sample_s,
+        "colliding": {
+            "failed_draws": N_DRAWS - len(drawn_f),
+            "over_wide": sum(w > OVER_WIDE * ref_widest for w in drawn_f),
+            "widest": max(drawn_f),
+            "apd_before": report_f["mean_apd_before"],
+            "apd_after": report_f["mean_apd_after"],
+            "passes_per_draw": passes_f,
+            "ref_apd": cmd_simulate(reference, cfg)["l_phy"],
+            "ref_apd_folded": cmd_simulate(folded, cfg)["l_phy"],
+        },
     }
 
 
@@ -131,9 +183,21 @@ def _table(rows: dict) -> str:
             f"{seed:>4}  {r['over_wide']:>2}/{r['draws']} ({r['widest']:.2f})"
             f"{r['mmd'] * 1e3:>13.2f}  {r['cov']:>5.0%}  {r['one_nna']:>6.1%}"
             f"  {r['jsd']:.3f}  {r['apd_before']:.3e} -> {r['apd_after']:.3e}"
-            f"  {r['passes_per_draw']:>5.1f}  {chamfer:<25}  {coeff:<24}"
+            f"  {r['passes_per_draw']:>6.3f}  {chamfer:<25}  {coeff:<24}"
             f"  {r['gmm_max_variance']:>11.3g}  {r['fit_s']:>6.1f}"
             f"  {r['sample_s']:>8.2f}")
+    lines.append("\nseed  min phi                             min singular value of phi"
+                 "           colliding over-wide (widest)  APD before -> after"
+                 "   passes  glasses_01 APD unfolded -> folded")
+    for seed, r in rows.items():
+        phi = " / ".join(f"{v:.2g}" for v in r["min_phi"])
+        sv = " / ".join(f"{v:.2g}" for v in r["min_sv_phi"])
+        c = r["colliding"]
+        lines.append(
+            f"{seed:>4}  {phi:<34}  {sv:<34}  {c['over_wide']:>12}/{r['draws']}"
+            f" ({c['widest']:.2f})  {c['apd_before']:.3e} -> {c['apd_after']:.3e}"
+            f"  {c['passes_per_draw']:>6.3f}  {c['ref_apd']:.3e} -> "
+            f"{c['ref_apd_folded']:.3e}")
     return "\n".join(lines)
 
 

@@ -68,7 +68,7 @@ def naive_sweep(mov: TriMesh, ref: TriMesh, joint: Joint, n_steps: int):
 def test_fixed_joint_is_exactly_zero():
     wall, rod, _ = hinge_wall_rod()
     res = single_simulation(rod, wall, Joint("fixed"), 50)
-    assert res.pene == 0.0 and res.proj == 0.0
+    assert res.group_pene[0] == 0.0 and res.group_proj[0] == 0.0
 
 
 def test_disjoint_sweep_is_zero():
@@ -77,7 +77,7 @@ def test_disjoint_sweep_is_zero():
     joint = Joint("revolute", axis=np.array([0.0, 0.0, 1.0]),
                   pivot=np.zeros(3), range=(0.0, np.pi / 2))
     res = single_simulation(mov, ref, joint, 200)
-    assert res.pene == 0.0 and res.proj == 0.0
+    assert res.group_pene[0] == 0.0 and res.group_proj[0] == 0.0
 
 
 def test_vertex_face_distance_oracle(rng):
@@ -108,16 +108,16 @@ def test_hinge_penetration_matches_loop_oracle():
     wall, rod, joint = hinge_wall_rod()
     n = 10_000
     res = single_simulation(rod, wall, joint, n)
-    assert res.pene > 0.0
+    assert res.group_pene[0] > 0.0
     pene_o, proj_o = naive_sweep(rod, wall, joint, n)
-    assert abs(res.pene - pene_o) <= 0.1 * pene_o
-    assert res.proj == pytest.approx(proj_o, rel=1e-9)
+    assert abs(res.group_pene[0] - pene_o) <= 0.1 * pene_o
+    assert res.group_proj[0] == pytest.approx(proj_o, rel=1e-9)
 
 
 def test_penetration_depth_scales_inverse_square():
     wall, rod, joint = hinge_wall_rod()
-    p100 = single_simulation(rod, wall, joint, 100).pene
-    p1000 = single_simulation(rod, wall, joint, 1000).pene
+    p100 = single_simulation(rod, wall, joint, 100).group_pene[0]
+    p1000 = single_simulation(rod, wall, joint, 1000).group_pene[0]
     assert p1000 == pytest.approx(p100 / 100, rel=0.2)
 
 
@@ -125,7 +125,7 @@ def test_frozen_mask_evaluator_matches_simulation():
     wall, rod, joint = hinge_wall_rod()
     res = single_simulation(rod, wall, joint, 50, want_grad=True)
     frozen = frozen_proj_loss(rod.vertices, wall, joint, 50, res.crossings)
-    assert frozen == pytest.approx(res.proj, abs=1e-15)
+    assert frozen == pytest.approx(res.group_proj[0], abs=1e-15)
 
 
 def test_projection_gradient_finite_difference():
@@ -229,15 +229,22 @@ def test_correct_shape_strictly_decreases_penetration():
     assert not np.array_equal(z0, z1)
 
 
-def _count_loss_passes(monkeypatch):
+def _count_passes(monkeypatch):
+    """Record each gradient pass as "grad" and each loss-only sweep as "loss"."""
     calls = []
-    original = physics._run_losses
+    grad_pass, run_losses = physics.grad_proj_wrt_z, physics._run_losses
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("want_grad", False))
-        return original(*args, **kwargs)
+    def counted_grad(*args, **kwargs):
+        calls.append("grad")
+        return grad_pass(*args, **kwargs)
 
-    monkeypatch.setattr(physics, "_run_losses", counted)
+    def counted_losses(*args, **kwargs):
+        if not kwargs.get("want_grad", False):
+            calls.append("loss")
+        return run_losses(*args, **kwargs)
+
+    monkeypatch.setattr(physics, "grad_proj_wrt_z", counted_grad)
+    monkeypatch.setattr(physics, "_run_losses", counted_losses)
     return calls
 
 
@@ -245,9 +252,10 @@ def test_correct_shape_matches_every_step_oracle_when_z_moves(monkeypatch):
     dobj = _hinge_deformable(k=4, seed=0)
     cfg = SimConfig(n_steps=20, n_det=3, seed=1)
     proj = ProjConfig(iters=10, eps_proj=1e-5)
-    calls = _count_loss_passes(monkeypatch)
+    calls = _count_passes(monkeypatch)
     z, before, after = correct_shape(dobj, np.zeros(4), proj, cfg)
-    assert len(calls) == proj.iters + 1      # z moves at every step
+    # z moves at every step; the pass after the last step reports and steps no more
+    assert calls == ["grad"] * (proj.iters + 1)
     zo, before_o, after_o = correct_shape_every_step(dobj, np.zeros(4), proj, cfg)
     assert z.tobytes() == zo.tobytes()
     assert before == before_o and after == after_o
@@ -263,15 +271,21 @@ def test_correct_shape_stops_at_its_fixed_point(monkeypatch):
     _, grad = physics.grad_proj_wrt_z(dobj, z0, cfg)
     step = proj.eps_proj * grad
     assert (step != 0).all() and (np.abs(step) < np.abs(np.spacing(z0)) / 2).all()
-    calls = _count_loss_passes(monkeypatch)
+    calls = _count_passes(monkeypatch)
     z, before, after = correct_shape(dobj, z0, proj, cfg)
-    assert calls == [True]
+    assert calls == ["grad"]
     calls.clear()
     zo, before_o, after_o = correct_shape_every_step(dobj, z0, proj, cfg)
-    assert len(calls) == proj.iters + 1
+    assert calls == ["grad"] * proj.iters + ["loss"]
     assert z.tobytes() == zo.tobytes() == z0.tobytes()
     assert before.l_phy > 0
     assert before == before_o and after == after_o
+    # with no step to take, the one pass reports before and after
+    calls.clear()
+    z, before, after = correct_shape(dobj, z0, ProjConfig(iters=0), cfg)
+    assert calls == ["grad"]
+    assert before is after and before == before_o
+    assert z.tobytes() == z0.tobytes()
 
 
 def test_correct_shape_counts_a_sign_flip_of_zero_as_a_move(monkeypatch):
@@ -285,7 +299,10 @@ def test_correct_shape_counts_a_sign_flip_of_zero_as_a_move(monkeypatch):
     monkeypatch.setattr(physics, "grad_proj_wrt_z", negative_zero_grad)
     # -0.0 - 1e-5 * -0.0 is +0.0: equal as numbers, but the step moved z
     proj = ProjConfig(iters=3, eps_proj=1e-5)
+    calls = _count_passes(monkeypatch)
     z, _, _ = correct_shape(dobj, np.full(4, -0.0), proj, cfg)
+    # the second pass finds +0.0 a fixed point
+    assert calls == ["grad", "grad"]
     zo, _, _ = correct_shape_every_step(dobj, np.full(4, -0.0), proj, cfg)
     assert z.tobytes() == zo.tobytes() == np.zeros(4).tobytes()
 
@@ -341,7 +358,7 @@ def test_prismatic_sweep_detects_crossing():
     joint = Joint("prismatic", axis=np.array([1.0, 0.0, 0.0]),
                   pivot=np.zeros(3), range=(0.0, 2.0))
     res = single_simulation(mov, ref, joint, 500)
-    assert res.pene > 0
+    assert res.group_pene[0] > 0
 
 
 def test_report_round_trips_through_json():
@@ -373,7 +390,7 @@ def test_rest_pose_is_sweep_origin():
                   pivot=np.zeros(3), range=(np.pi / 4, np.pi / 2))
     res = single_simulation(rod, wall, joint, 2000)
     # the rod starts on the near side of the wall, so it still crosses
-    assert res.pene > 0
+    assert res.group_pene[0] > 0
 
 
 def _eyeglasses_parts(tmp_path, ref_states: bool):
@@ -569,8 +586,7 @@ def _bytes(arrays):
 
 
 def _result_bytes(res):
-    fields = [np.float64(res.pene), np.float64(res.proj), *res.crossings,
-              res.group_pene, res.group_proj]
+    fields = [*res.crossings, res.group_pene, res.group_proj]
     return _bytes(fields + [g for g in (res.proj_grad_v, res.phy_grad_v)
                             if g is not None])
 
@@ -600,10 +616,13 @@ def test_sweep_is_bit_identical_across_budgets(case, want_grad, monkeypatch):
     for g in range(len(held)):
         assert (_bytes(_group_view(shared, groups[0], g))
                 == _bytes(_group_view(whole, groups[1], g)))
-    # a shared crossing is weighted once by its summed count, so the totals
-    # agree to rounding
-    assert shared.pene == pytest.approx(whole.pene, rel=1e-12)
-    assert shared.proj == pytest.approx(whole.proj, rel=1e-12)
+    # a shared crossing is weighted once by its summed count, so the
+    # gradients agree to rounding
+    if want_grad:
+        for got, want in ((shared.proj_grad_v, whole.proj_grad_v),
+                          (shared.phy_grad_v, whole.phy_grad_v)):
+            assert np.abs(want).max() > 0
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("case", ["revolute_shared", "prismatic_shared"])
@@ -665,7 +684,8 @@ def test_degenerate_face_keeps_its_index_when_shared(bad_group):
 def test_groups_mask_is_validated():
     wall, rod, hinge = hinge_wall_rod()
     ref, groups = _stack([wall, wall, wall], [[0, 1], [0, 2]])
-    assert single_simulation(rod, ref, hinge, 10, groups=groups).pene > 0
+    res = single_simulation(rod, ref, hinge, 10, groups=groups)
+    assert (res.group_pene > 0).all()
     for bad, counts in ((groups[:, 1:], None), (groups, [1, 1, 1]), (None, [1, 1])):
         with pytest.raises(ValueError, match="^groups must be "):
             single_simulation(rod, ref, hinge, 10, group_counts=counts,
@@ -697,8 +717,8 @@ def test_sweep_matches_loop_oracle_on_random_meshes(seed, prismatic, n_steps,
         mp.setattr(physics, "_SWEEP_BYTES", budget)
         res = single_simulation(mov, ref, joint, n_steps)
     pene_o, proj_o = naive_sweep(mov, ref, joint, n_steps)
-    assert res.pene == pytest.approx(pene_o, rel=1e-9, abs=1e-15)
-    assert res.proj == pytest.approx(proj_o, rel=1e-9, abs=1e-15)
+    assert res.group_pene[0] == pytest.approx(pene_o, rel=1e-9, abs=1e-15)
+    assert res.group_proj[0] == pytest.approx(proj_o, rel=1e-9, abs=1e-15)
 
 
 def test_sweep_memory_stays_within_budget():
